@@ -87,6 +87,15 @@ cmake --build "$ASAN_BUILD_DIR" -j "$JOBS"
 UBSAN_OPTIONS="halt_on_error=1" ASAN_OPTIONS="detect_leaks=0" UKRAFT_QUEUES=2 \
   ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure -j "$JOBS"
 
+# Scheduler teardown leg: a real thread left blocked when its ThreadScheduler
+# dies is detached and must never touch the freed scheduler again. A wait that
+# does only fails when the parked thread is descheduled at the wrong moment;
+# this repeat is a regression guard, not a reproducer (the use-after-free it
+# guards against did not show up in 400 repeats of this filter under ASan).
+UBSAN_OPTIONS="halt_on_error=1" ASAN_OPTIONS="detect_leaks=0" \
+  "$ASAN_BUILD_DIR"/uksched_test --gtest_repeat=50 \
+  --gtest_filter='*DetachAtTeardown*:*ManyThreadsAllComplete*'
+
 # Blocking-mode bench leg: wait queues, interrupt arming and the scheduler's
 # idle clock jumps under ASan+UBSan, sharded across 2 queues.
 UBSAN_OPTIONS="halt_on_error=1" ASAN_OPTIONS="detect_leaks=0" UKRAFT_QUEUES=2 \
@@ -162,4 +171,4 @@ UKRAFT_THREADS=real "$TSAN_BUILD_DIR"/fleet_test
 # (emits BENCH_rss_scaling_threads.json next to the fiber-mode trendline).
 (cd "$BUILD_DIR" && UKRAFT_THREADS=real ./bench_fig_rss_scaling --threads)
 
-echo "ci: OK (src/ built with -Wall -Wextra -Werror; markdown links checked; tests passed tier1+tier2 plain, at UKRAFT_QUEUES=4 with the RSS-scaling, fleet-scaling and persistence gates, and under ASan+UBSan with UKRAFT_QUEUES=2, incl. the blocking --wait, --eventloop, TCP --loss, fleet and persistence legs; TSan covered the sharded suites plus the loss-pattern and fleet suites in fiber AND real-thread mode, and the scaling gate held on real threads)"
+echo "ci: OK (src/ built with -Wall -Wextra -Werror; markdown links checked; tests passed tier1+tier2 plain, at UKRAFT_QUEUES=4 with the RSS-scaling, fleet-scaling and persistence gates, and under ASan+UBSan with UKRAFT_QUEUES=2, incl. the blocking --wait, --eventloop, TCP --loss, fleet, persistence and 50x scheduler-teardown legs; TSan covered the sharded suites plus the loss-pattern and fleet suites in fiber AND real-thread mode, and the scaling gate held on real threads)"

@@ -418,7 +418,7 @@ class TcpSocket : public SocketEventSource {
   // closed and all data was drained.
   std::int64_t Recv(std::span<std::uint8_t> out);
 
-  bool readable() const { return !recv_buf_.empty() || fin_received_; }
+  bool readable() const { return RecvBuffered() > 0 || fin_received_; }
   std::size_t send_space() const { return send_cap_ - send_buffered_; }
   bool connected() const { return state_ == TcpState::kEstablished; }
   bool failed() const { return reset_; }
@@ -478,6 +478,9 @@ class TcpSocket : public SocketEventSource {
   void SetBufferCaps(std::size_t send_cap, std::size_t recv_cap);
   std::size_t send_cap() const { return send_cap_; }
   std::size_t recv_cap() const { return recv_cap_; }
+  // Bytes of receive-buffer storage held; it only grows, so a flat value
+  // across a workload means receiving allocated nothing.
+  std::size_t recv_buffer_capacity() const { return recv_buf_.capacity(); }
 
   static constexpr std::size_t kSendBufCap = 64 * 1024;
   static constexpr std::size_t kRecvBufCap = 64 * 1024;
@@ -515,6 +518,9 @@ class TcpSocket : public SocketEventSource {
   // drains contiguous ranges into recv_buf_ once the hole fills.
   bool QueueOutOfOrder(std::uint32_t seq, std::span<const std::uint8_t> payload);
   void DrainOutOfOrder();
+  // Callers have charged |bytes| against RecvSpace already.
+  void AppendRecv(std::span<const std::uint8_t> bytes);
+  std::size_t RecvBuffered() const { return recv_buf_.size() - recv_head_; }
   // Delayed-ACK machinery: NoteAckOwed records that rcv_nxt_ advanced
   // (flushing immediately past the 2*MSS coalescing budget); AckNow emits a
   // pure ACK and clears the owed state; FlushDelayedAck is the end-of-turn /
@@ -544,7 +550,7 @@ class TcpSocket : public SocketEventSource {
   void ReleaseAllSegments();
   // Raw receive window in bytes (free buffer space).
   std::size_t RecvSpace() const {
-    std::size_t used = recv_buf_.size() + ooo_buffered_;
+    std::size_t used = RecvBuffered() + ooo_buffered_;
     return used < recv_cap_ ? recv_cap_ - used : 0;
   }
   // The 16-bit window field for a non-SYN segment: space >> rcv_wscale_,
@@ -608,7 +614,11 @@ class TcpSocket : public SocketEventSource {
   std::size_t recv_cap_ = kRecvBufCap;
 
   std::uint32_t rcv_nxt_ = 0;
-  std::deque<std::uint8_t> recv_buf_;
+  // Unread bytes are recv_buf_[recv_head_, size()). Recv rewinds to empty
+  // once drained; an append that would outgrow the capacity first slides the
+  // unread bytes to the front. Copy contract: DATAPATH.md, receive side.
+  std::vector<std::uint8_t> recv_buf_;
+  std::size_t recv_head_ = 0;
   // Out-of-order reassembly: disjoint, sorted ranges above rcv_nxt_ waiting
   // for the hole to fill. Bounded (kMaxOooRanges, and counted against
   // RecvSpace() via ooo_buffered_) so a hostile sender cannot balloon the

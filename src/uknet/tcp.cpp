@@ -17,6 +17,7 @@
 // The whole modern fast path gates on NetStack::tcp_modern; with it off the
 // socket behaves like the pre-modernization stack (no options, no cwnd, an
 // ACK per in-order segment) so benches can measure the delta.
+#include <algorithm>
 #include <cstring>
 
 #include "uknet/stack.h"
@@ -145,17 +146,19 @@ std::int64_t TcpSocket::Recv(std::span<std::uint8_t> out) {
   if (reset_) {
     return ukarch::Raw(ukarch::Status::kConnReset);
   }
-  if (recv_buf_.empty()) {
+  if (RecvBuffered() == 0) {
     if (fin_received_) {
       return 0;  // orderly EOF
     }
     return ukarch::Raw(ukarch::Status::kAgain);
   }
   bool was_zero_window = AdvertisedWindow() == 0;
-  std::size_t n = out.size() < recv_buf_.size() ? out.size() : recv_buf_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = recv_buf_.front();
-    recv_buf_.pop_front();
+  std::size_t n = std::min(out.size(), RecvBuffered());
+  std::copy_n(recv_buf_.begin() + static_cast<std::ptrdiff_t>(recv_head_), n, out.begin());
+  recv_head_ += n;
+  if (recv_head_ == recv_buf_.size()) {
+    recv_buf_.clear();
+    recv_head_ = 0;
   }
   if (was_zero_window && AdvertisedWindow() > 0 && state_ == TcpState::kEstablished) {
     // Window update so the stalled sender resumes.
@@ -686,14 +689,21 @@ void TcpSocket::DrainOutOfOrder() {
       // The bytes were already charged against RecvSpace while queued, so
       // moving them into recv_buf_ cannot overflow the cap.
       std::size_t skip = rcv_nxt_ - r.seq;  // 0 unless a retransmit overlapped
-      recv_buf_.insert(recv_buf_.end(),
-                       r.data.begin() + static_cast<std::ptrdiff_t>(skip),
-                       r.data.end());
+      AppendRecv(std::span(r.data).subspan(skip));
       rcv_nxt_ = r_end;
     }
     ooo_buffered_ -= r.data.size();
     ooo_ranges_.erase(ooo_ranges_.begin());
   }
+}
+
+void TcpSocket::AppendRecv(std::span<const std::uint8_t> bytes) {
+  if (recv_head_ > 0 && recv_buf_.size() + bytes.size() > recv_buf_.capacity()) {
+    recv_buf_.erase(recv_buf_.begin(),
+                    recv_buf_.begin() + static_cast<std::ptrdiff_t>(recv_head_));
+    recv_head_ = 0;
+  }
+  recv_buf_.insert(recv_buf_.end(), bytes.begin(), bytes.end());
 }
 
 void TcpSocket::NoteAckOwed(std::size_t payload_bytes) {
@@ -824,8 +834,7 @@ void TcpSocket::OnSegment(std::uint16_t rx_queue, const TcpHeader& hdr,
     if (hdr.seq == rcv_nxt_) {
       std::size_t space = RecvSpace();
       std::size_t n = payload.size() < space ? payload.size() : space;
-      recv_buf_.insert(recv_buf_.end(), payload.begin(),
-                       payload.begin() + static_cast<std::ptrdiff_t>(n));
+      AppendRecv(payload.first(n));
       rcv_nxt_ += static_cast<std::uint32_t>(n);
       bool filled_hole = false;
       if (!ooo_ranges_.empty()) {

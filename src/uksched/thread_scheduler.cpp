@@ -23,8 +23,8 @@ ThreadScheduler::~ThreadScheduler() {
     }
     if (t->state_ == ThreadState::kBlocked) {
       // Fiber parity: a blocked thread on a dying scheduler simply never
-      // resumes. The OS thread keeps only its shared_ptr to the baton and
-      // parks on it forever; detaching leaks nothing but the thread itself.
+      // resumes. The OS thread waits on its own baton reference forever
+      // (SwitchBack); detaching leaks nothing but the thread itself.
       os.detach();
     } else {
       // kReady (never dispatched: the shutdown flag unparks it without
@@ -72,13 +72,17 @@ void ThreadScheduler::SwitchTo(Thread* t) {
 
 void ThreadScheduler::SwitchBack() {
   // Called from a running thread with the lock held: return the baton and —
-  // unless this thread is exiting — sleep until dispatched again.
+  // unless this thread is exiting — sleep until dispatched again. A thread
+  // still parked here when the scheduler dies is detached, so the wait must
+  // not touch |this|: it holds its own baton reference and compares |t| by
+  // pointer only.
   Thread* t = current_;
-  std::unique_lock<std::mutex> lk(baton_->mu, std::adopt_lock);
-  baton_->running = nullptr;
-  baton_->cv.notify_all();
+  std::shared_ptr<Baton> baton = baton_;
+  std::unique_lock<std::mutex> lk(baton->mu, std::adopt_lock);
+  baton->running = nullptr;
+  baton->cv.notify_all();
   if (t->state_ != ThreadState::kExited) {
-    baton_->cv.wait(lk, [&] { return baton_->running == t; });
+    baton->cv.wait(lk, [&] { return baton->running == t; });
   }
   lk.release();
 }

@@ -1,9 +1,13 @@
-// Tests for ukarch helpers: alignment math, hashes, deterministic RNG.
+// Tests for ukarch helpers: alignment math, hashes, CRC-32C, deterministic RNG.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
 #include <set>
+#include <string_view>
 
 #include "ukarch/align.h"
+#include "ukarch/crc32.h"
 #include "ukarch/hash.h"
 #include "ukarch/random.h"
 #include "ukarch/status.h"
@@ -76,6 +80,70 @@ TEST(Hash, Mix64Spreads) {
   }
   // Sequential inputs must hit most byte buckets.
   EXPECT_GT(low_bits.size(), 200u);
+}
+
+// One bit at a time, straight from the reflected polynomial: the reference
+// every table-driven variant must agree with.
+std::uint32_t BitwiseCrc32c(const std::byte* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= static_cast<std::uint8_t>(p[i]);
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) != 0 ? 0x82F63B78u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t CrcOfBytes(const std::array<std::uint8_t, 32>& bytes) {
+  return Crc32Of(std::as_bytes(std::span(bytes)));
+}
+
+TEST(Crc32c, CheckValue) {
+  constexpr std::string_view kCheck = "123456789";
+  EXPECT_EQ(Crc32Of(std::as_bytes(std::span(kCheck))), 0xE3069283u);
+  EXPECT_EQ(Crc32Of({}), 0u);
+}
+
+TEST(Crc32c, Rfc3720Vectors) {
+  std::array<std::uint8_t, 32> bytes{};
+  EXPECT_EQ(CrcOfBytes(bytes), 0x8A9136AAu);
+  bytes.fill(0xFF);
+  EXPECT_EQ(CrcOfBytes(bytes), 0x62A8AB43u);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i);
+  }
+  EXPECT_EQ(CrcOfBytes(bytes), 0x46DD794Eu);
+}
+
+TEST(Crc32c, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  std::array<std::byte, 8 + 64 + 4096> buf{};
+  Xorshift rng(12);
+  for (std::byte& b : buf) {
+    b = static_cast<std::byte>(rng.Next());
+  }
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      ASSERT_EQ(Crc32Of(std::span(buf.data() + off, len)), BitwiseCrc32c(buf.data() + off, len))
+          << "off=" << off << " len=" << len;
+    }
+  }
+  EXPECT_EQ(Crc32Of(buf), BitwiseCrc32c(buf.data(), buf.size()));
+}
+
+TEST(Crc32c, SplitUpdatesEqualOneShot) {
+  std::array<std::byte, 100> buf{};
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::byte>(i * 37 + 5);
+  }
+  const std::uint32_t whole = Crc32Of(buf);
+  EXPECT_EQ(whole, BitwiseCrc32c(buf.data(), buf.size()));
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    Crc32 c;
+    c.Update(buf.data(), split);
+    c.Update(buf.data() + split, buf.size() - split);
+    EXPECT_EQ(c.value(), whole) << "split=" << split;
+  }
 }
 
 TEST(Random, Deterministic) {

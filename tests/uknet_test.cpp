@@ -296,10 +296,16 @@ TEST_F(TwoHostTest, TcpEchoSteadyStateZeroAlloc) {
   ZeroAllocGuard client_guard({a_.netif->tx_pool(0)}, a_.alloc.get());
   ZeroAllocGuard server_guard({b_.netif->tx_pool(0)}, b_.alloc.get());
   std::uint64_t client_segs_before = client->tcp_stats().segments_sent;
+  const std::size_t client_rx_capacity = client->recv_buffer_capacity();
+  const std::size_t server_rx_capacity = server_sock->recv_buffer_capacity();
   echo_rounds(8);
-  // The guest heap saw zero allocations across 8 echoed KB each way.
+  // The guest heap saw zero allocations across 8 echoed KB each way, and the
+  // host-side receive buffers never reallocated: they reuse their storage.
   client_guard.ExpectHeapSteady("tcp echo client steady state");
   server_guard.ExpectHeapSteady("tcp echo server steady state");
+  EXPECT_EQ(client->recv_buffer_capacity(), client_rx_capacity);
+  EXPECT_EQ(server_sock->recv_buffer_capacity(), server_rx_capacity);
+  EXPECT_GE(server_rx_capacity, chunk.size());
   // TX pool churn tracks segments (data + ACKs), not bytes — and never more.
   EXPECT_GT(client->tcp_stats().segments_sent, client_segs_before);
   EXPECT_LE(client_guard.pool_allocs(0),
@@ -356,6 +362,14 @@ TEST_F(TwoHostTest, TcpDataBothDirections) {
   EXPECT_EQ(std::string(buf, buf + n), reply);
 }
 
+std::vector<std::uint8_t> Pattern(std::size_t n) {
+  std::vector<std::uint8_t> data(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 13 + i / 251);
+  }
+  return data;
+}
+
 TEST_F(TwoHostTest, TcpBulkTransferSegmentsAndReassembles) {
   auto listener = b_.stack->TcpListen(9000);
   auto client = a_.stack->TcpConnect(MakeIp(10, 0, 0, 2), 9000);
@@ -363,14 +377,14 @@ TEST_F(TwoHostTest, TcpBulkTransferSegmentsAndReassembles) {
   auto server_sock = listener->Accept();
 
   // 256 KB: forces MSS segmentation, windowing, and multiple send calls.
-  std::vector<std::uint8_t> data(256 * 1024);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::uint8_t>(i * 7);
-  }
+  const std::vector<std::uint8_t> data = Pattern(256 * 1024);
   std::size_t sent = 0;
   std::vector<std::uint8_t> received;
   received.reserve(data.size());
-  std::uint8_t buf[4096];
+  // Reads of 1, 7 and 1399 bytes straddle every segment boundary, so new
+  // segments keep landing behind unread bytes of a partly read buffer.
+  constexpr std::size_t kSpans[] = {1, 7, 1399};
+  std::uint8_t buf[1399];
   for (int rounds = 0; rounds < 200000 && received.size() < data.size(); ++rounds) {
     if (sent < data.size()) {
       std::int64_t n = client->Send(
@@ -381,7 +395,7 @@ TEST_F(TwoHostTest, TcpBulkTransferSegmentsAndReassembles) {
     }
     a_.stack->Poll();
     b_.stack->Poll();
-    std::int64_t r = server_sock->Recv(buf);
+    std::int64_t r = server_sock->Recv(std::span(buf, kSpans[rounds % 3]));
     if (r > 0) {
       received.insert(received.end(), buf, buf + r);
     }
@@ -389,6 +403,87 @@ TEST_F(TwoHostTest, TcpBulkTransferSegmentsAndReassembles) {
   ASSERT_EQ(received.size(), data.size());
   EXPECT_EQ(received, data);
   EXPECT_GT(client->tcp_stats().segments_sent, data.size() / TcpSocket::kMss);
+}
+
+TEST_F(TwoHostTest, TcpZeroWindowPartialDrainResumesInOrder) {
+  constexpr std::size_t kCap = 4 * TcpSocket::kMss;
+  auto listener = b_.stack->TcpListen(9002);
+  listener->SetBufferCaps(TcpSocket::kSendBufCap, kCap);
+  auto client = a_.stack->TcpConnect(MakeIp(10, 0, 0, 2), 9002);
+  ASSERT_TRUE(PumpUntil([&] { return client->connected() && listener->backlog() > 0; }));
+  auto server_sock = listener->Accept();
+  ASSERT_EQ(server_sock->recv_cap(), kCap);
+
+  const std::vector<std::uint8_t> data = Pattern(32 * 1024);
+  ASSERT_EQ(client->Send(data), static_cast<std::int64_t>(data.size()));
+  auto stalled = [&] { return client->in_flight() == 0 && client->send_window() == 0; };
+  // The receiver fills to its cap and advertises a zero window.
+  ASSERT_TRUE(PumpUntil(stalled));
+
+  std::vector<std::uint8_t> received;
+  std::uint8_t buf[1399];
+  auto drain = [&](std::size_t n) {
+    std::int64_t r = server_sock->Recv(std::span(buf, n));
+    ASSERT_EQ(r, static_cast<std::int64_t>(n));
+    received.insert(received.end(), buf, buf + r);
+  };
+  // Each partial drain sends a window update; the sender refills exactly the
+  // freed space, which lands behind the unread bytes and forces the buffer
+  // to slide them to the front.
+  for (int round = 0; round < 8; ++round) {
+    const std::uint64_t segs_before = client->tcp_stats().data_segments_sent;
+    drain(1000);
+    ASSERT_TRUE(PumpUntil([&] { return client->send_window() > 0; })) << round;
+    ASSERT_TRUE(PumpUntil(stalled)) << round;
+    EXPECT_GT(client->tcp_stats().data_segments_sent, segs_before) << round;
+  }
+  // Sliding instead of growing keeps the storage within twice the cap even
+  // though 2.4x the cap has passed through a never-empty buffer.
+  EXPECT_LE(server_sock->recv_buffer_capacity(), 2 * kCap);
+  ASSERT_TRUE(PumpUntil([&] {
+    std::int64_t r = server_sock->Recv(buf);
+    if (r > 0) {
+      received.insert(received.end(), buf, buf + r);
+    }
+    return received.size() == data.size();
+  }, 20000));
+  EXPECT_EQ(received, data);
+  EXPECT_EQ(client->tcp_stats().retransmissions, 0u);
+}
+
+// A hole filled while the receive buffer is partly read: the drained
+// out-of-order range must land after the unread in-order bytes.
+TEST_F(RawPeerTest, OutOfOrderDrainIntoPartlyReadBuffer) {
+  auto client = host_.stack->TcpConnect(peer_.ip, 82);
+  ASSERT_NE(client, nullptr);
+  std::uint32_t iss = Handshake(client, 82);
+  const std::vector<std::uint8_t> data = Pattern(3 * TcpSocket::kMss);
+  auto segment = [&](std::size_t i) {
+    return std::span(data).subspan(i * TcpSocket::kMss, TcpSocket::kMss);
+  };
+  auto seq_of = [](std::size_t i) {
+    return 1001 + static_cast<std::uint32_t>(i * TcpSocket::kMss);
+  };
+
+  peer_.SendTcp(82, client->local_port(), kTcpAck, seq_of(0), iss + 1, 65535, segment(0));
+  Pump();
+  std::vector<std::uint8_t> received(500);
+  ASSERT_EQ(client->Recv(received), 500);
+
+  peer_.SendTcp(82, client->local_port(), kTcpAck, seq_of(2), iss + 1, 65535, segment(2));
+  Pump();
+  EXPECT_EQ(client->tcp_stats().ooo_queued, 1u);
+  peer_.SendTcp(82, client->local_port(), kTcpAck, seq_of(1), iss + 1, 65535, segment(1));
+  Pump();
+  ASSERT_FALSE(peer_.segs.empty());
+  EXPECT_EQ(peer_.segs.back().hdr.ack, seq_of(3));  // hole filled, all acknowledged
+
+  std::uint8_t buf[4096];
+  std::int64_t r = client->Recv(buf);
+  ASSERT_EQ(r, static_cast<std::int64_t>(data.size() - 500));
+  received.insert(received.end(), buf, buf + r);
+  EXPECT_EQ(received, data);
+  EXPECT_EQ(client->Recv(buf), ukarch::Raw(ukarch::Status::kAgain));
 }
 
 TEST_F(TwoHostTest, TcpGracefulClose) {
