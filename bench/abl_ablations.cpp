@@ -1,4 +1,5 @@
-// Ablations for design choices DESIGN.md calls out:
+// Ablations for the design choices the cost model prices (bench/BENCH.md,
+// "Calibration"):
 //   1. interrupt-mode vs poll-mode uknetdev RX under rising load;
 //   2. virtqueue/TX batch-size sweep (where batching pays);
 //   3. syscall-shim indirection: direct vs table dispatch (real ns);

@@ -1,9 +1,10 @@
 // bench/common.h - shared harness pieces for the per-figure benchmarks.
 //
-// Metric convention (documented in EXPERIMENTS.md): server-side benchmarks
-// run real code over the simulated fabric; all real CPU time of the loop is
-// charged into the world's virtual clock at the simulated CPU speed, on top
-// of the modeled privilege/device costs the environment profile adds. The
+// Metric convention (documented in bench/BENCH.md, "Calibration"):
+// server-side benchmarks run real code over the simulated fabric; all real
+// CPU time of the loop is charged into the world's virtual clock at the
+// simulated CPU speed, on top of the modeled privilege/device costs the
+// environment profile adds. The
 // reported throughput is requests / virtual-seconds, which makes runs
 // deterministic in *shape* while still letting real implementation costs
 // (allocators, parsers, ring operations) show through.
@@ -32,7 +33,8 @@ namespace bench {
 // production C code spends on the paper's i7-9700K. Real loop time is charged
 // into the virtual clock scaled by this factor so that the *modeled*
 // privilege/device costs sit in a realistic proportion to per-request CPU
-// work. Calibrated against Fig 12's absolute rates; see EXPERIMENTS.md.
+// work. Calibrated against Fig 12's absolute rates; see bench/BENCH.md,
+// "Calibration".
 inline constexpr double kSimNormalization = 0.10;
 
 // Syscall-equivalents the real applications issue per request under

@@ -141,11 +141,14 @@ UBSAN_OPTIONS="halt_on_error=1" ASAN_OPTIONS="detect_leaks=0" \
 # acquire/release protocol, the per-queue doorbells and the 4-shard scale
 # test are exactly the code whose correctness on real SMP rests on memory
 # ordering; the scheduler's fiber annotations make the ucontext switches
-# visible to TSan so cross-loop accesses are actually checked.
+# visible to TSan so cross-loop accesses are actually checked. ukarch_test
+# rides along for the statistics counters (ukarch/counters.h), whose
+# concurrency test runs one real std::thread per counter slot.
 TSAN_BUILD_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_BUILD_DIR" -S . -DUKRAFT_WERROR=ON -DUKRAFT_SANITIZE=tsan
 cmake --build "$TSAN_BUILD_DIR" -j "$JOBS" --target \
-  smp_shard_test uknet_multiqueue_test uknet_wait_test uknet_tcp_loss_test
+  smp_shard_test uknet_multiqueue_test uknet_wait_test uknet_tcp_loss_test \
+  ukarch_test
 UKRAFT_QUEUES=4 "$TSAN_BUILD_DIR"/smp_shard_test
 UKRAFT_QUEUES=4 "$TSAN_BUILD_DIR"/uknet_multiqueue_test
 UKRAFT_QUEUES=4 "$TSAN_BUILD_DIR"/uknet_wait_test
@@ -159,6 +162,7 @@ UKRAFT_QUEUES=4 "$TSAN_BUILD_DIR"/uknet_tcp_loss_test
 # cross-thread traffic and validates every ordering claim the comments make.
 cmake --build "$TSAN_BUILD_DIR" -j "$JOBS" --target uksched_test fleet_test
 UKRAFT_THREADS=real "$TSAN_BUILD_DIR"/uksched_test
+UKRAFT_THREADS=real "$TSAN_BUILD_DIR"/ukarch_test
 UKRAFT_THREADS=real UKRAFT_QUEUES=4 "$TSAN_BUILD_DIR"/smp_shard_test
 UKRAFT_THREADS=real UKRAFT_QUEUES=4 "$TSAN_BUILD_DIR"/uknet_multiqueue_test
 UKRAFT_THREADS=real UKRAFT_QUEUES=4 "$TSAN_BUILD_DIR"/uknet_wait_test
@@ -171,4 +175,4 @@ UKRAFT_THREADS=real "$TSAN_BUILD_DIR"/fleet_test
 # (emits BENCH_rss_scaling_threads.json next to the fiber-mode trendline).
 (cd "$BUILD_DIR" && UKRAFT_THREADS=real ./bench_fig_rss_scaling --threads)
 
-echo "ci: OK (src/ built with -Wall -Wextra -Werror; markdown links checked; tests passed tier1+tier2 plain, at UKRAFT_QUEUES=4 with the RSS-scaling, fleet-scaling and persistence gates, and under ASan+UBSan with UKRAFT_QUEUES=2, incl. the blocking --wait, --eventloop, TCP --loss, fleet, persistence and 50x scheduler-teardown legs; TSan covered the sharded suites plus the loss-pattern and fleet suites in fiber AND real-thread mode, and the scaling gate held on real threads)"
+echo "ci: OK (src/ built with -Wall -Wextra -Werror; markdown links checked; tests passed tier1+tier2 plain, at UKRAFT_QUEUES=4 with the RSS-scaling, fleet-scaling and persistence gates, and under ASan+UBSan with UKRAFT_QUEUES=2, incl. the blocking --wait, --eventloop, TCP --loss, fleet, persistence and 50x scheduler-teardown legs; TSan covered the sharded suites plus the counter, loss-pattern and fleet suites in fiber AND real-thread mode, and the scaling gate held on real threads)"

@@ -128,8 +128,7 @@ bool KvServer::Start() {
       // driver's interrupt fire wakes exactly that queue's pump loop.
       rx_waits_.push_back(std::make_unique<uksched::WaitQueue>(sched_));
       rxc.intr_handler = [this](std::uint16_t rxq) {
-        loops_[LoopSlotFor(rxq)].intr_fires.fetch_add(1,
-                                                      std::memory_order_relaxed);
+        loops_.At(rxq).Add(&Stats::intr_fires);
         if (rxq < rx_waits_.size() && rx_waits_[rxq] != nullptr) {
           rx_waits_[rxq]->Wake();
         }
@@ -155,23 +154,23 @@ void KvServer::EnableWait(uksched::Scheduler* sched) {
 std::size_t KvServer::PumpQueueWait(std::uint16_t queue,
                                     std::uint64_t timeout_cycles) {
   std::size_t handled = PumpQueue(queue);
-  LoopCounters& lc = loops_[LoopSlotFor(queue)];
+  ukarch::Counters<Stats>& lc = loops_.At(queue);
   if (handled > 0) {
     return handled;
   }
-  lc.empty_pumps.fetch_add(1, std::memory_order_relaxed);
+  lc.Add(&Stats::empty_pumps);
   if (sched_ == nullptr || sched_->current() == nullptr) {
     return handled;  // no scheduler: stay a plain (spinning) pump
   }
   if (mode_ == KvMode::kSocketSingle || mode_ == KvMode::kSocketBatch) {
-    lc.blocked_waits.fetch_add(1, std::memory_order_relaxed);
+    lc.Add(&Stats::blocked_waits);
     if (queue != 0) {
       // The single server fd lives on queue 0's loop; the event loop is not
       // reentrant (one shared ready array), so sibling pump threads sleep on
       // the stack directly instead of entering it.
       if (api_->net()->PollWait(uknet::NetStack::kAllQueues, timeout_cycles) == 0) {
         // deadline wake; frames woke it otherwise
-        lc.timeouts.fetch_add(1, std::memory_order_relaxed);
+        lc.Add(&Stats::timeouts);
       }
       return 0;
     }
@@ -180,7 +179,7 @@ std::size_t KvServer::PumpQueueWait(std::uint16_t queue,
     // kNoWaitDeadline sentinel is the same ~0 as EventLoop::kNoTimeout.
     handled = PumpSocket(timeout_cycles);
     if (handled == 0) {
-      lc.timeouts.fetch_add(1, std::memory_order_relaxed);
+      lc.Add(&Stats::timeouts);
     }
     return handled;
   }
@@ -211,12 +210,12 @@ std::size_t KvServer::PumpQueueWait(std::uint16_t queue,
         ring_doorbells_[queue].load(std::memory_order_acquire) != bell) {
       continue;
     }
-    lc.empty_pumps.fetch_add(1, std::memory_order_relaxed);
-    lc.blocked_waits.fetch_add(1, std::memory_order_relaxed);
+    lc.Add(&Stats::empty_pumps);
+    lc.Add(&Stats::blocked_waits);
     const bool woken = rx_waits_[queue]->WaitTimeout(deadline);
     handled = PumpQueue(queue);
     if (!woken) {
-      lc.timeouts.fetch_add(1, std::memory_order_relaxed);
+      lc.Add(&Stats::timeouts);
       break;
     }
     if (handled > 0) {
@@ -322,8 +321,7 @@ Persist::RecoverStats KvServer::RecoverFromPersist() {
 }
 
 void KvServer::RingSend(std::uint16_t from, std::uint16_t to, const ShardMsg& msg) {
-  loops_[LoopSlotFor(from)].ring_messages.fetch_add(1,
-                                                    std::memory_order_relaxed);
+  loops_.At(from).Add(&Stats::ring_messages);
   if (!RingTo(from, to)->Push(msg)) {
     // Ring full: park in the outbox, retried at the head of every DrainRings
     // turn of |from|. Backpressure, never loss.
@@ -500,8 +498,7 @@ void KvServer::EmitDeferredReply(const PendingOp& op) {
     tx_pools_[op.queue]->Free(out);
     return;
   }
-  loops_[LoopSlotFor(op.queue)].requests.fetch_add(1,
-                                                   std::memory_order_relaxed);
+  loops_.At(op.queue).Add(&Stats::requests);
 }
 
 std::size_t KvServer::HandleInto(std::uint16_t queue,
@@ -590,8 +587,7 @@ std::size_t KvServer::HandleInto(std::uint16_t queue,
     op.dst_mac = reply_to->mac;
     op.dst_ip = reply_to->ip;
     op.dst_port = reply_to->port;
-    loops_[LoopSlotFor(queue)].cross_shard_ops.fetch_add(
-        1, std::memory_order_relaxed);
+    loops_.At(queue).Add(&Stats::cross_shard_ops);
     for (std::uint8_t i = 0; i < n; ++i) {
       const std::uint16_t shard = ShardForKey(keys[i], queues_);
       if (shard == queue) {
@@ -655,8 +651,7 @@ std::size_t KvServer::HandleInto(std::uint16_t queue,
     m.key = key;
     m.vlen = static_cast<std::uint8_t>(len);
     std::memcpy(m.val, payload.data() + 5, len);
-    loops_[LoopSlotFor(queue)].cross_shard_ops.fetch_add(
-        1, std::memory_order_relaxed);
+    loops_.At(queue).Add(&Stats::cross_shard_ops);
     pending_[queue].push_back(op);
     RingSend(queue, shard, m);
     WakeShard(shard);
@@ -694,8 +689,7 @@ std::size_t KvServer::HandleInto(std::uint16_t queue,
     m.req_id = op.id;
     m.slot = 0;
     m.key = key;
-    loops_[LoopSlotFor(queue)].cross_shard_ops.fetch_add(
-        1, std::memory_order_relaxed);
+    loops_.At(queue).Add(&Stats::cross_shard_ops);
     pending_[queue].push_back(op);
     RingSend(queue, shard, m);
     WakeShard(shard);
@@ -721,8 +715,7 @@ std::size_t KvServer::PumpSocketSingle() {
     std::size_t len = HandleInto(0, std::span(buf, static_cast<std::size_t>(n)),
                                  reply, sizeof(reply), nullptr, nullptr);
     api_->SendTo(fd_, src_ip, src_port, std::span(reply, len));
-    (probe ? loops_[0].probe_requests : loops_[0].requests)
-        .fetch_add(1, std::memory_order_relaxed);
+    loops_.At(0).Add(probe ? &Stats::probe_requests : &Stats::requests);
     ++handled;
   }
   return handled;
@@ -751,9 +744,8 @@ std::size_t KvServer::PumpSocketBatch() {
   }
   api_->SendMmsg(fd_, msgs[0].src_ip, msgs[0].src_port,
                  std::span(vecs, static_cast<std::size_t>(got)));
-  loops_[0].requests.fetch_add(static_cast<std::uint64_t>(got) - probes,
-                               std::memory_order_relaxed);
-  loops_[0].probe_requests.fetch_add(probes, std::memory_order_relaxed);
+  loops_.At(0).Add(&Stats::requests, static_cast<std::uint64_t>(got) - probes);
+  loops_.At(0).Add(&Stats::probe_requests, probes);
   return static_cast<std::size_t>(got);
 }
 
@@ -824,9 +816,8 @@ std::size_t KvServer::PumpNetdev(std::uint16_t queue) {
                                std::span(odata + kHdrs, reply_len));
                 out->len = static_cast<std::uint32_t>(total);
                 replies[nreplies++] = out;
-                (probe ? loops_[LoopSlotFor(queue)].probe_requests
-                       : loops_[LoopSlotFor(queue)].requests)
-                    .fetch_add(1, std::memory_order_relaxed);
+                loops_.At(queue).Add(probe ? &Stats::probe_requests
+                                           : &Stats::requests);
                 replied = true;
               } else {
                 tx_pools_[queue]->Free(out);
@@ -860,9 +851,8 @@ std::size_t KvServer::PumpNetdev(std::uint16_t queue) {
                              std::span(payload_at, reply_len));
               nb->len = static_cast<std::uint32_t>(total);
               replies[nreplies++] = nb;  // ownership rides to TxBurst
-              (probe ? loops_[LoopSlotFor(queue)].probe_requests
-                     : loops_[LoopSlotFor(queue)].requests)
-                  .fetch_add(1, std::memory_order_relaxed);
+              loops_.At(queue).Add(probe ? &Stats::probe_requests
+                                         : &Stats::requests);
               replied = true;
               continue;  // do not free: the RX buffer is the TX buffer now
             }
@@ -938,55 +928,6 @@ std::size_t KvServer::PumpOnce() {
     }
   }
   return 0;
-}
-
-// ---- per-loop counter snapshots ---------------------------------------------------
-
-KvServer::Stats KvServer::stats(std::uint16_t queue) const {
-  const LoopCounters& lc = loops_[LoopSlotFor(queue)];
-  return Stats{
-      .requests = lc.requests.load(std::memory_order_relaxed),
-      .probe_requests = lc.probe_requests.load(std::memory_order_relaxed),
-      .ring_messages = lc.ring_messages.load(std::memory_order_relaxed),
-      .cross_shard_ops = lc.cross_shard_ops.load(std::memory_order_relaxed),
-      .waits =
-          WaitStats{
-              .empty_pumps = lc.empty_pumps.load(std::memory_order_relaxed),
-              .blocked_waits = lc.blocked_waits.load(std::memory_order_relaxed),
-              .intr_fires = lc.intr_fires.load(std::memory_order_relaxed),
-              .timeouts = lc.timeouts.load(std::memory_order_relaxed),
-          },
-  };
-}
-
-KvServer::Stats KvServer::stats() const {
-  Stats sum;
-  for (std::uint16_t q = 0; q < kMaxLoopSlots; ++q) {
-    const Stats one = stats(q);
-    sum.requests += one.requests;
-    sum.probe_requests += one.probe_requests;
-    sum.ring_messages += one.ring_messages;
-    sum.cross_shard_ops += one.cross_shard_ops;
-    sum.waits.empty_pumps += one.waits.empty_pumps;
-    sum.waits.blocked_waits += one.waits.blocked_waits;
-    sum.waits.intr_fires += one.waits.intr_fires;
-    sum.waits.timeouts += one.waits.timeouts;
-  }
-  return sum;
-}
-
-KvServer::WaitStats KvServer::wait_stats() const { return stats().waits; }
-
-KvServer::WaitStats KvServer::wait_stats(std::uint16_t queue) const {
-  return stats(queue).waits;
-}
-
-std::uint64_t KvServer::requests() const { return stats().requests; }
-
-std::uint64_t KvServer::ring_messages() const { return stats().ring_messages; }
-
-std::uint64_t KvServer::cross_shard_ops() const {
-  return stats().cross_shard_ops;
 }
 
 }  // namespace apps

@@ -23,6 +23,8 @@
 #include "apps/event_loop.h"
 #include "apps/persist.h"
 #include "posix/api.h"
+#include "ukarch/counters.h"
+#include "uknet/stack.h"
 #include "uknet/wire_format.h"
 #include "uknetdev/netdev.h"
 #include "uksched/scheduler.h"
@@ -78,35 +80,32 @@ class KvServer {
                             std::uint64_t timeout_cycles = kNoWaitDeadline);
   static constexpr std::uint64_t kNoWaitDeadline = uksched::Scheduler::kNoDeadline;
 
-  // Snapshot type. The live counters are PER-LOOP (one cacheline-padded slot
-  // per queue's loop); wait_stats() sums the slots at read time and
-  // wait_stats(queue) slices out one loop's view, so concurrent loops never
-  // write-share a counter line and readers never race a writer.
+  // Snapshot types. The live counters are PER-LOOP (one cacheline-padded
+  // ukarch::CounterSlots block per queue's loop): the all-loops accessors sum
+  // the slots at read time and the (queue) overloads read one loop's slot, so
+  // concurrent loops never write-share a counter line.
   struct WaitStats {
     std::uint64_t empty_pumps = 0;    // pump passes that found no request
     std::uint64_t blocked_waits = 0;  // times a pump loop actually slept
     std::uint64_t intr_fires = 0;     // RX interrupt handler invocations
     std::uint64_t timeouts = 0;       // waits ended by the caller's deadline
   };
-  WaitStats wait_stats() const;                     // all loops, summed
-  WaitStats wait_stats(std::uint16_t queue) const;  // one loop's slot
-
-  // Full snapshot: every aggregate the benches and tests read, captured from
-  // the per-loop slots in one call. stats() sums across loops; stats(queue)
-  // is one loop's slice.
-  struct Stats {
+  // Full snapshot: the wait accounting plus the request and shard counters.
+  // A WaitStats is the base slice of it.
+  struct Stats : WaitStats {
     std::uint64_t requests = 0;        // real client traffic only
     std::uint64_t probe_requests = 0;  // balancer health probes ('P' opcode)
     std::uint64_t ring_messages = 0;
     std::uint64_t cross_shard_ops = 0;
-    WaitStats waits;
   };
-  Stats stats() const;
-  Stats stats(std::uint16_t queue) const;
+  Stats stats() const { return loops_.Sum(); }
+  Stats stats(std::uint16_t queue) const { return loops_.Load(queue); }
+  WaitStats wait_stats() const { return stats(); }
+  WaitStats wait_stats(std::uint16_t queue) const { return stats(queue); }
 
-  std::uint64_t requests() const;
+  std::uint64_t requests() const { return stats().requests; }
   std::uint64_t queue_requests(std::uint16_t queue) const {
-    return loops_[LoopSlotFor(queue)].requests.load(std::memory_order_relaxed);
+    return stats(queue).requests;
   }
   std::uint16_t queue_count() const { return queues_; }
   KvMode mode() const { return mode_; }
@@ -132,8 +131,8 @@ class KvServer {
                ? shard_accesses_[i].load(std::memory_order_relaxed)
                : 0;
   }
-  std::uint64_t ring_messages() const;   // summed over per-loop slots
-  std::uint64_t cross_shard_ops() const; // summed over per-loop slots
+  std::uint64_t ring_messages() const { return stats().ring_messages; }
+  std::uint64_t cross_shard_ops() const { return stats().cross_shard_ops; }
 
   // ---- durability (apps::Persist) ------------------------------------------
   // Wires the persistence tier in with one persist shard per queue: every
@@ -254,27 +253,9 @@ class KvServer {
   std::vector<std::unique_ptr<uknetdev::NetBufPool>> tx_pools_;
   std::vector<std::unique_ptr<uknetdev::NetBufPool>> rx_pools_;
 
-  // ---- per-loop counters ---------------------------------------------------
-  // Every aggregate the server exposes (requests, ring messages, cross-shard
-  // ops, wait accounting) lives in one cacheline-padded slot per loop; the
-  // loop pumping queue q is the only writer of loops_[q], and the public
-  // accessors sum the slots at read time. Socket modes use slot 0.
-  static constexpr std::size_t kMaxLoopSlots = 16;
-  static std::uint16_t LoopSlotFor(std::uint16_t queue) {
-    return queue < kMaxLoopSlots ? queue
-                                 : static_cast<std::uint16_t>(kMaxLoopSlots - 1);
-  }
-  struct alignas(64) LoopCounters {
-    std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::uint64_t> probe_requests{0};
-    std::atomic<std::uint64_t> ring_messages{0};
-    std::atomic<std::uint64_t> cross_shard_ops{0};
-    std::atomic<std::uint64_t> empty_pumps{0};
-    std::atomic<std::uint64_t> blocked_waits{0};
-    std::atomic<std::uint64_t> intr_fires{0};
-    std::atomic<std::uint64_t> timeouts{0};
-  };
-  std::array<LoopCounters, kMaxLoopSlots> loops_;
+  // Per-loop counters: the loop pumping queue q is the only writer of slot
+  // q. Socket modes use slot 0.
+  ukarch::CounterSlots<Stats, uknet::kMaxQueueSlots> loops_;
 
   // One shard per queue; shards_[q] is owned by queue q's loop and only ever
   // touched by it (StoreFind/StoreSet assert the discipline via the audit

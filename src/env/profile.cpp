@@ -94,16 +94,6 @@ Profile Profile::HermituxUhyve() {
                  .per_request_overhead = 5200};
 }
 
-Profile Profile::MirageSolo5() {
-  return Profile{.name = "mirage-solo5",
-                 .dispatch = DispatchMode::kDirectCall,
-                 .virtualized = true,
-                 .vmm = VmmModel::Solo5(),
-                 .allocator = Backend::kBuddy,
-                 .guest_stack_per_packet = 1500,  // mirage-tcpip
-                 .per_request_overhead = 7000};   // OCaml runtime per request
-}
-
 const std::vector<Profile>& Profile::Fig12Set() {
   static const std::vector<Profile> kSet = {
       HermituxUhyve(), LinuxFirecracker(), LupineFirecracker(), RumpKvm(), LinuxKvm(),

@@ -48,7 +48,6 @@ struct Profile {
   static Profile LupineKvm();
   static Profile LupineFirecracker();
   static Profile HermituxUhyve();
-  static Profile MirageSolo5();
 
   // The ten platforms of Figs 12/13, slowest-first like the paper plots.
   static const std::vector<Profile>& Fig12Set();

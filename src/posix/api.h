@@ -142,9 +142,6 @@ class PosixApi {
 
   // ---- misc ----
   std::int64_t GetPid() { return shim_.Call(SyscallNumber("getpid")); }
-  std::int64_t RawSyscall(int nr, const SyscallArgs& args = SyscallArgs{}) {
-    return shim_.Call(nr, args);
-  }
 
   SyscallShim& shim() { return shim_; }
   FdTable& fdtab() { return fdtab_; }

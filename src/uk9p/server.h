@@ -66,10 +66,7 @@ class Server {
   std::unique_ptr<HostNode> root_;
   std::map<std::uint32_t, Fid> fids_;
   std::uint32_t msize_ = 64 * 1024;
-  std::uint64_t next_qid_ = 1;
   std::uint64_t requests_served_ = 0;
-
-  std::uint64_t NextQid() { return next_qid_++; }
   friend struct HostNode;
 };
 

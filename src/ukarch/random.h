@@ -1,8 +1,8 @@
 // ukarch/random.h - deterministic PRNG for workload generators.
 //
 // All benchmark workloads (key distributions, packet sizes, request mixes) draw
-// from this generator with fixed seeds so every figure in EXPERIMENTS.md is
-// reproducible bit-for-bit across runs and machines.
+// from this generator with fixed seeds so every bench figure (bench/BENCH.md,
+// "Calibration") is reproducible bit-for-bit across runs and machines.
 #ifndef UKARCH_RANDOM_H_
 #define UKARCH_RANDOM_H_
 

@@ -55,8 +55,6 @@ struct BootReport {
   double vmm_us = 0.0;        // modeled monitor share (Fig 10's lower bar)
   double guest_us = 0.0;      // measured guest-side boot time
   std::vector<BootStageTime> stages;
-
-  double TotalUs() const { return vmm_us + guest_us; }
 };
 
 class Instance {
@@ -97,11 +95,6 @@ class Instance {
   const InstanceConfig& config() const { return config_; }
   std::uint64_t pagetable_root() const { return pt_root_; }
   PageTableBuilder* pagetable() { return pt_ ? pt_.get() : nullptr; }
-
-  // Bytes still carveable for rings and DMA areas after boot reservations.
-  std::uint64_t CarveDeviceArea(std::size_t bytes, std::size_t align) {
-    return mem_.Carve(bytes, align);
-  }
 
  private:
   ukarch::Status SetupPaging(BootReport* report);

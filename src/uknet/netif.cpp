@@ -215,7 +215,7 @@ std::uint16_t NetIf::SendIpBatch(Ip4Addr dst, std::uint8_t proto,
     std::uint16_t parked = 0;
     for (std::uint16_t i = 0; i < ready; ++i) {
       if (pending.size() >= kArpPendingCap) {
-        ++if_stats_.pending_dropped;
+        if_stats_.Add(&IfStats::pending_dropped);
         FreeTxBuf(pkts[i]);
         continue;
       }
@@ -230,7 +230,7 @@ std::uint16_t NetIf::SendIpBatch(Ip4Addr dst, std::uint8_t proto,
     return parked;
   }
   std::uint16_t sent = SendEthBatch(cached->second, kEthTypeIp4, pkts, ready, queue);
-  if_stats_.ip_tx += sent;
+  if_stats_.Add(&IfStats::ip_tx, sent);
   return sent;
 }
 
@@ -251,23 +251,6 @@ bool NetIf::SendIp(Ip4Addr dst, std::uint8_t proto,
   return SendIpBuf(dst, proto, nb, queue);
 }
 
-bool NetIf::SendEth(uknetdev::MacAddr dst, std::uint16_t ethertype,
-                    std::span<const std::uint8_t> payload) {
-  uknetdev::NetBuf* nb = AllocTxBuf();
-  if (nb == nullptr) {
-    return false;
-  }
-  std::uint8_t* body = nb->Append(*mem_, static_cast<std::uint32_t>(payload.size()));
-  if (body == nullptr) {
-    FreeTxBuf(nb);
-    return false;
-  }
-  if (!payload.empty()) {
-    std::memcpy(body, payload.data(), payload.size());
-  }
-  return SendEthBuf(dst, ethertype, nb);
-}
-
 void NetIf::SendArpRequest(Ip4Addr target, std::uint16_t queue) {
   ArpPacket arp;
   arp.oper = 1;
@@ -284,7 +267,7 @@ void NetIf::SendArpRequest(Ip4Addr target, std::uint16_t queue) {
     return;
   }
   arp.Serialize(body);
-  ++if_stats_.arp_requests;
+  if_stats_.Add(&IfStats::arp_requests);
   SendEthBuf(kBroadcast, kEthTypeArp, nb, queue);
 }
 
@@ -369,8 +352,8 @@ void NetIf::HandleArp(std::uint16_t queue, std::span<const std::uint8_t> body) {
         }
       }
       if (n > 0) {
-        if_stats_.ip_tx +=
-            SendEthBatch(arp->sender_mac, kEthTypeIp4, batch, n, q);
+        if_stats_.Add(&IfStats::ip_tx,
+                      SendEthBatch(arp->sender_mac, kEthTypeIp4, batch, n, q));
       }
     }
     arp_pending_.erase(pending);
@@ -393,7 +376,7 @@ void NetIf::HandleArp(std::uint16_t queue, std::span<const std::uint8_t> body) {
       return;
     }
     reply.Serialize(out);
-    ++if_stats_.arp_replies;
+    if_stats_.Add(&IfStats::arp_replies);
     SendEthBuf(arp->sender_mac, kEthTypeArp, nb, queue);
   }
 }
@@ -402,13 +385,13 @@ bool NetIf::HandleIp(std::uint16_t queue, uknetdev::NetBuf* nb,
                      std::span<const std::uint8_t> body) {
   auto ip = Ip4Header::Parse(body);
   if (!ip.has_value()) {
-    ++if_stats_.rx_checksum_drops;
+    if_stats_.Add(&IfStats::rx_checksum_drops);
     return false;
   }
   if (ip->dst != config_.ip) {
     return false;  // not routed; unikernels are endpoints
   }
-  ++if_stats_.ip_rx;
+  if_stats_.Add(&IfStats::ip_rx);
   // Slice the L4 payload at the parsed header length: packets carrying IP
   // options (IHL > 5) must not leak option bytes into the UDP/TCP payload.
   std::span<const std::uint8_t> payload =

@@ -141,7 +141,7 @@ std::int64_t UdpSocket::SendTo(Ip4Addr dst, std::uint16_t dst_port,
     return ukarch::Raw(ukarch::Status::kAgain);
   }
   hdr.Serialize(hdr_at, netif->ip(), dst, std::span(body, payload.size()));
-  ++stack_->stats_.udp_tx;
+  stack_->stats_.Add(&NetStack::StackStats::udp_tx);
   if (!netif->SendIpBuf(dst, kIpProtoUdp, nb, queue)) {
     return ukarch::Raw(ukarch::Status::kAgain);
   }
@@ -191,7 +191,7 @@ std::int64_t UdpSocket::SendToBatch(Ip4Addr dst, std::uint16_t dst_port,
       break;
     }
     std::uint16_t sent = netif->SendIpBatch(dst, kIpProtoUdp, pkts, built, queue);
-    stack_->stats_.udp_tx += sent;
+    stack_->stats_.Add(&NetStack::StackStats::udp_tx, sent);
     accepted += sent;
     if (sent < built) {
       break;
@@ -525,15 +525,14 @@ std::uint64_t NetStack::NextTimerDeadline() const {
 
 std::size_t NetStack::PollWait(std::uint16_t queue, std::uint64_t timeout_cycles) {
   const bool all = queue == kAllQueues;
-  // Per-loop accounting: a pinned waiter owns its queue's slot, a kAllQueues
-  // waiter the shared extra slot. Relaxed — each slot has one writer (this
-  // loop); readers sum snapshots.
-  WaitSlot& ws = wait_slots_[all ? kAllQueuesSlot : QueueSlot(queue)];
-  // This loop's RCU slot: announced quiescent at every point where the turn
+  // This loop's slot: a pinned waiter owns its queue's, a kAllQueues waiter
+  // the shared extra one. It indexes the per-loop wait counters (one writer
+  // each) and the RCU slot announced quiescent at every point where the turn
   // provably holds no registry snapshot (before parking, and on return).
-  const std::size_t rcu_slot = all ? kAllQueuesSlot : QueueSlot(queue);
+  const std::size_t slot = PollSlot(queue);
+  ukarch::Counters<WaitStats>& ws = waits_.At(slot);
   auto drain = [&]() -> std::size_t {
-    ws.poll_iterations.fetch_add(1, std::memory_order_relaxed);
+    ws.Add(&WaitStats::poll_iterations);
     std::size_t n = 0;
     for (auto& netif : netifs_) {
       n += all ? netif->Poll() : netif->Poll(queue);
@@ -558,7 +557,7 @@ std::size_t NetStack::PollWait(std::uint16_t queue, std::uint64_t timeout_cycles
 
   std::size_t handled = drain();
   if (handled > 0 || !CanBlock()) {
-    rcu_.Quiescent(rcu_slot);
+    rcu_.Quiescent(slot);
     return handled;  // degrades to one Poll-equivalent pass
   }
   uksched::WaitQueue* wq = all ? any_wait_.get()
@@ -602,15 +601,15 @@ std::size_t NetStack::PollWait(std::uint16_t queue, std::uint64_t timeout_cycles
       break;
     }
     const std::uint64_t deadline = std::min(caller_deadline, NextTimerDeadline());
-    ws.blocked_waits.fetch_add(1, std::memory_order_relaxed);
+    ws.Add(&WaitStats::blocked_waits);
     // Parking is a quiescent state: every snapshot this turn read is done.
-    rcu_.Quiescent(rcu_slot);
+    rcu_.Quiescent(slot);
     const bool woken = wq->WaitTimeout(deadline);
     if (woken) {
-      ws.frame_wakeups.fetch_add(1, std::memory_order_relaxed);
+      ws.Add(&WaitStats::frame_wakeups);
       handled = drain();  // this RxBurst also re-arms drained lines
       if (soft_seq() != soft_at_entry) {
-        ws.queue_event_wakeups.fetch_add(1, std::memory_order_relaxed);
+        ws.Add(&WaitStats::queue_event_wakeups);
         break;  // a doorbell rang for this queue: caller drains its rings
       }
       if (handled > 0 ||
@@ -619,7 +618,7 @@ std::size_t NetStack::PollWait(std::uint16_t queue, std::uint64_t timeout_cycles
       }
       // Spurious (another loop drained the frames first): sleep again.
     } else {
-      ws.timer_wakeups.fetch_add(1, std::memory_order_relaxed);
+      ws.Add(&WaitStats::timer_wakeups);
       handled = drain();  // run the due timer work (RTO retransmit, 2MSL)
       break;  // a deadline fired: hand control back to the caller
     }
@@ -636,44 +635,8 @@ std::size_t NetStack::PollWait(std::uint16_t queue, std::uint64_t timeout_cycles
       }
     }
   });
-  rcu_.Quiescent(rcu_slot);
+  rcu_.Quiescent(slot);
   return handled;
-}
-
-NetStack::WaitStats NetStack::wait_stats() const {
-  WaitStats sum;
-  for (const WaitSlot& s : wait_slots_) {
-    sum.poll_iterations += s.poll_iterations.load(std::memory_order_relaxed);
-    sum.blocked_waits += s.blocked_waits.load(std::memory_order_relaxed);
-    sum.frame_wakeups += s.frame_wakeups.load(std::memory_order_relaxed);
-    sum.timer_wakeups += s.timer_wakeups.load(std::memory_order_relaxed);
-    sum.queue_event_wakeups +=
-        s.queue_event_wakeups.load(std::memory_order_relaxed);
-  }
-  return sum;
-}
-
-NetStack::WaitStats NetStack::wait_stats(std::uint16_t queue) const {
-  const WaitSlot& s =
-      wait_slots_[queue == kAllQueues ? kAllQueuesSlot : QueueSlot(queue)];
-  return WaitStats{
-      .poll_iterations = s.poll_iterations.load(std::memory_order_relaxed),
-      .blocked_waits = s.blocked_waits.load(std::memory_order_relaxed),
-      .frame_wakeups = s.frame_wakeups.load(std::memory_order_relaxed),
-      .timer_wakeups = s.timer_wakeups.load(std::memory_order_relaxed),
-      .queue_event_wakeups =
-          s.queue_event_wakeups.load(std::memory_order_relaxed),
-  };
-}
-
-bool NetStack::PollUntil(const std::function<bool()>& pred, int max_iters) {
-  for (int i = 0; i < max_iters; ++i) {
-    if (pred()) {
-      return true;
-    }
-    Poll();
-  }
-  return pred();
 }
 
 std::uint16_t NetStack::AllocEphemeralPort() {
@@ -716,16 +679,16 @@ bool NetStack::HandleUdp(NetIf* netif, std::uint16_t queue, uknetdev::NetBuf* nb
   if (!hdr.has_value()) {
     return false;
   }
-  ++stats_.udp_rx;
+  stats_.Add(&StackStats::udp_rx);
   const auto* udp_ports = udp_ports_.Read();  // lock-free demux
   auto it = udp_ports->find(hdr->dst_port);
   if (it == udp_ports->end()) {
-    ++stats_.no_socket_drops;
+    stats_.Add(&StackStats::no_socket_drops);
     return false;
   }
   UdpSocket& sock = *it->second;
   if (sock.rx_.size() >= UdpSocket::kMaxQueue) {
-    ++stats_.no_socket_drops;
+    stats_.Add(&StackStats::no_socket_drops);
     return false;
   }
   DatagramView view;
@@ -752,9 +715,6 @@ bool NetStack::HandleUdp(NetIf* netif, std::uint16_t queue, uknetdev::NetBuf* nb
   }
   sock.rx_.push_back(std::move(view));
   sock.RaiseEvent(kEvtReadable);  // demux push: the datagram is readable now
-  if (sock.rx_cb_) {
-    sock.rx_cb_();
-  }
   return retain;
 }
 
@@ -764,7 +724,7 @@ void NetStack::HandleIcmp(NetIf* netif, std::uint16_t queue, const Ip4Header& ip
   if (!echo.has_value()) {
     return;
   }
-  ++stats_.icmp_rx;
+  stats_.Add(&StackStats::icmp_rx);
   if (echo->is_reply) {
     ++pings_answered_;
     return;
@@ -776,7 +736,7 @@ void NetStack::HandleIcmp(NetIf* netif, std::uint16_t queue, const Ip4Header& ip
 
 void NetStack::SendRst(NetIf* netif, const Ip4Header& ip, const TcpHeader& hdr,
                        std::size_t payload_len, std::uint16_t queue) {
-  ++stats_.rst_sent;
+  stats_.Add(&StackStats::rst_sent);
   TcpHeader rst;
   rst.src_port = hdr.dst_port;
   rst.dst_port = hdr.src_port;
@@ -794,7 +754,7 @@ void NetStack::HandleTcp(NetIf* netif, std::uint16_t queue, const Ip4Header& ip,
   if (!hdr.has_value()) {
     return;
   }
-  ++stats_.tcp_rx;
+  stats_.Add(&StackStats::tcp_rx);
   std::span<const std::uint8_t> data = payload.subspan(header_len);
 
   // Established-connection demux first.
@@ -867,7 +827,7 @@ void NetStack::HandleTcp(NetIf* netif, std::uint16_t queue, const Ip4Header& ip,
   if ((hdr->flags & kTcpRst) == 0) {
     SendRst(netif, ip, *hdr, data.size(), queue);
   }
-  ++stats_.no_socket_drops;
+  stats_.Add(&StackStats::no_socket_drops);
 }
 
 void NetStack::NotifyAccepted(TcpSocket* sock) {

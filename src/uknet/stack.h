@@ -17,12 +17,12 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "ukalloc/allocator.h"
+#include "ukarch/counters.h"
 #include "ukarch/status.h"
 #include "uklock/rcu.h"
 #include "uknet/wire_format.h"
@@ -203,7 +203,8 @@ class NetIf {
   }
 
   // Snapshot type: if_stats() returns it BY VALUE so per-queue loops can bump
-  // the live (atomic) counters while a reader aggregates.
+  // the live counters (one shared ukarch::Counters block) while a reader
+  // aggregates.
   struct IfStats {
     std::uint64_t arp_requests = 0;
     std::uint64_t arp_replies = 0;
@@ -212,24 +213,11 @@ class NetIf {
     std::uint64_t rx_checksum_drops = 0;
     std::uint64_t pending_dropped = 0;
   };
-  IfStats if_stats() const {
-    return IfStats{
-        .arp_requests = if_stats_.arp_requests.load(std::memory_order_relaxed),
-        .arp_replies = if_stats_.arp_replies.load(std::memory_order_relaxed),
-        .ip_rx = if_stats_.ip_rx.load(std::memory_order_relaxed),
-        .ip_tx = if_stats_.ip_tx.load(std::memory_order_relaxed),
-        .rx_checksum_drops =
-            if_stats_.rx_checksum_drops.load(std::memory_order_relaxed),
-        .pending_dropped =
-            if_stats_.pending_dropped.load(std::memory_order_relaxed),
-    };
-  }
+  IfStats if_stats() const { return if_stats_.Load(); }
 
  private:
   friend class NetStack;
 
-  bool SendEth(uknetdev::MacAddr dst, std::uint16_t ethertype,
-               std::span<const std::uint8_t> payload);
   // Batch dispatch: classifies and handles |cnt| received buffers (all from
   // RX |queue|); frees each unless an upper layer retained it (UDP zero-copy
   // delivery).
@@ -268,17 +256,8 @@ class NetIf {
     std::uint16_t queue = 0;
   };
   std::map<Ip4Addr, std::vector<PendingTx>> arp_pending_;
-  // Live counters. Relaxed atomics: each is bumped on exactly one loop's hot
-  // path but read (and summed into an IfStats snapshot) from any loop.
-  struct IfCounters {
-    std::atomic<std::uint64_t> arp_requests{0};
-    std::atomic<std::uint64_t> arp_replies{0};
-    std::atomic<std::uint64_t> ip_rx{0};
-    std::atomic<std::uint64_t> ip_tx{0};
-    std::atomic<std::uint64_t> rx_checksum_drops{0};
-    std::atomic<std::uint64_t> pending_dropped{0};
-  };
-  IfCounters if_stats_;
+  // Live counters, shared by every queue's loop.
+  ukarch::Counters<IfStats> if_stats_;
   std::uint16_t ip_id_ = 1;
   // Interrupt fires, one slot per queue: the handler may run on a foreign
   // loop (device backend) while the owning loop reads its own slot.
@@ -352,11 +331,6 @@ class UdpSocket : public SocketEventSource {
   // Device queue of the most recently delivered datagram (flow affinity).
   std::uint16_t last_rx_queue() const { return last_rx_queue_; }
 
-  // Optional callback invoked on datagram arrival (legacy event-loop hook;
-  // new consumers should register a SocketEventSink instead — the demux
-  // raises kEvtReadable on every datagram push).
-  void SetRxCallback(std::function<void()> cb) { rx_cb_ = std::move(cb); }
-
  private:
   friend class NetStack;
   explicit UdpSocket(NetStack* stack) : stack_(stack) {}
@@ -366,7 +340,6 @@ class UdpSocket : public SocketEventSource {
   std::uint16_t port_ = 0;
   bool explicitly_bound_ = false;
   std::deque<DatagramView> rx_;
-  std::function<void()> rx_cb_;
   std::uint16_t last_rx_queue_ = 0;
   static constexpr std::size_t kMaxQueue = 1024;
 };
@@ -719,8 +692,6 @@ class NetStack {
 
   // One pump: interface RX, TCP timers. Call in the application loop.
   void Poll();
-  // Test helper: polls until |pred| or |max_iters| rounds.
-  bool PollUntil(const std::function<bool()>& pred, int max_iters = 10000);
 
   // ---- interrupt-driven idle (§3.3 scheduler integration) -----------------
   // Sentinels: PollWait(kAllQueues) waits for traffic on any queue of any
@@ -787,8 +758,8 @@ class NetStack {
   void OnTxPoolRefill(NetIf* netif, std::uint16_t queue);
 
   // Snapshot type. The live counters are PER-LOOP: each PollWait(queue) bumps
-  // its own queue's cacheline-padded slot (PollWait(kAllQueues) and Poll()
-  // share one extra slot), so sharded loops never bounce a counter line.
+  // its own queue's ukarch::CounterSlots block (PollWait(kAllQueues) has one
+  // extra slot), so sharded loops never bounce a counter line.
   // wait_stats() sums the slots into a snapshot at read time;
   // wait_stats(queue) slices out one loop's view.
   struct WaitStats {
@@ -798,8 +769,10 @@ class NetStack {
     std::uint64_t timer_wakeups = 0;    // woken by RTO/timeout deadline
     std::uint64_t queue_event_wakeups = 0;  // ended by RaiseQueueEvent
   };
-  WaitStats wait_stats() const;                     // all slots, summed
-  WaitStats wait_stats(std::uint16_t queue) const;  // one queue's slot
+  WaitStats wait_stats() const { return waits_.Sum(); }
+  WaitStats wait_stats(std::uint16_t queue) const {
+    return waits_.Load(PollSlot(queue));
+  }
 
   ukplat::Clock* clock() { return clock_; }
   ukplat::MemRegion* mem() { return mem_; }
@@ -831,8 +804,8 @@ class NetStack {
   // run-to-completion loop). Exposed so teardown tests stay fast.
   std::uint32_t time_wait_poll_budget = 64;
 
-  // Snapshot type; the live counters are relaxed atomics bumped from whatever
-  // loop demuxes the packet.
+  // Snapshot type; the live counters are one shared ukarch::Counters block
+  // bumped from whatever loop demuxes the packet.
   struct StackStats {
     std::uint64_t udp_rx = 0;
     std::uint64_t udp_tx = 0;
@@ -841,16 +814,7 @@ class NetStack {
     std::uint64_t no_socket_drops = 0;
     std::uint64_t rst_sent = 0;
   };
-  StackStats stats() const {
-    return StackStats{
-        .udp_rx = stats_.udp_rx.load(std::memory_order_relaxed),
-        .udp_tx = stats_.udp_tx.load(std::memory_order_relaxed),
-        .tcp_rx = stats_.tcp_rx.load(std::memory_order_relaxed),
-        .icmp_rx = stats_.icmp_rx.load(std::memory_order_relaxed),
-        .no_socket_drops = stats_.no_socket_drops.load(std::memory_order_relaxed),
-        .rst_sent = stats_.rst_sent.load(std::memory_order_relaxed),
-    };
-  }
+  StackStats stats() const { return stats_.Load(); }
 
  private:
   friend class NetIf;
@@ -918,15 +882,7 @@ class NetStack {
   std::uint16_t next_ephemeral_ = 49152;
   std::uint32_t iss_counter_ = 10'000;
   std::atomic<std::uint64_t> pings_answered_{0};
-  struct StackCounters {
-    std::atomic<std::uint64_t> udp_rx{0};
-    std::atomic<std::uint64_t> udp_tx{0};
-    std::atomic<std::uint64_t> tcp_rx{0};
-    std::atomic<std::uint64_t> icmp_rx{0};
-    std::atomic<std::uint64_t> no_socket_drops{0};
-    std::atomic<std::uint64_t> rst_sent{0};
-  };
-  StackCounters stats_;
+  ukarch::Counters<StackStats> stats_;
   uksched::Scheduler* sched_ = nullptr;
   std::vector<std::unique_ptr<uksched::WaitQueue>> rx_waits_;  // one per queue
   std::unique_ptr<uksched::WaitQueue> any_wait_;  // PollWait(kAllQueues)
@@ -937,19 +893,14 @@ class NetStack {
   // kAllQueues waiter and a pinned waiter on different loops hold the same
   // slot concurrently.
   std::array<std::atomic<std::uint32_t>, kMaxQueueSlots> rx_arm_counts_{};
-  // Per-loop wait accounting: slot q belongs to the loop pumping
-  // PollWait(q); the extra slot at kMaxQueueSlots belongs to
-  // Poll()/PollWait(kAllQueues) callers. Cacheline-padded so neighboring
-  // loops never write-share a line; wait_stats() sums at read time.
-  struct alignas(64) WaitSlot {
-    std::atomic<std::uint64_t> poll_iterations{0};
-    std::atomic<std::uint64_t> blocked_waits{0};
-    std::atomic<std::uint64_t> frame_wakeups{0};
-    std::atomic<std::uint64_t> timer_wakeups{0};
-    std::atomic<std::uint64_t> queue_event_wakeups{0};
-  };
+  // Per-loop wait accounting (and the RCU quiescence slot): slot q belongs
+  // to the loop pumping PollWait(q); the extra slot at kMaxQueueSlots belongs
+  // to PollWait(kAllQueues) callers.
   static constexpr std::size_t kAllQueuesSlot = kMaxQueueSlots;
-  std::array<WaitSlot, kMaxQueueSlots + 1> wait_slots_;
+  static std::size_t PollSlot(std::uint16_t queue) {
+    return queue == kAllQueues ? kAllQueuesSlot : QueueSlot(queue);
+  }
+  ukarch::CounterSlots<WaitStats, kMaxQueueSlots + 1> waits_;
   // Delivered readiness edges (registered sinks). Release on publish,
   // acquire on the PollWait re-check: the edge's cause happens-before the
   // woken waiter's rescan.

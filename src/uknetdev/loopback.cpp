@@ -1,7 +1,9 @@
 #include "uknetdev/loopback.h"
 
+#include <algorithm>
 #include <cstring>
 
+#include "ukarch/counters.h"
 #include "uknetdev/rss.h"
 
 namespace uknetdev {
@@ -15,8 +17,7 @@ ukarch::Status Loopback::Configure(const DevConf& conf) {
   nb_tx_ = conf.nb_tx_queues;
   rxqs_.clear();
   rxqs_.resize(nb_rx_);
-  txq_stats_.clear();
-  txq_stats_.resize(nb_tx_);
+  queue_stats_.assign(std::max(nb_rx_, nb_tx_), Stats{});
   return ukarch::Status::kOk;
 }
 
@@ -48,7 +49,7 @@ int Loopback::TxBurst(std::uint16_t queue, NetBuf** pkt, std::uint16_t* cnt) {
     *cnt = 0;
     return kStatusUnderrun;
   }
-  Stats& txs = txq_stats_[queue];
+  Stats& txs = queue_stats_[queue];
   bool delivered[kMaxQueues] = {false};  // RX queues that got frames this burst
   std::uint16_t sent = 0;
   for (; sent < *cnt; ++sent) {
@@ -72,7 +73,7 @@ int Loopback::TxBurst(std::uint16_t queue, NetBuf** pkt, std::uint16_t* cnt) {
       if (nb_rx_ == 1) {
         break;  // backpressure: caller keeps ownership of pkt[sent..]
       }
-      ++rxq.stats.rx_drops;
+      ++queue_stats_[rxq_idx].rx_drops;
       if (src->pool != nullptr) {
         src->pool->Free(src);
       }
@@ -94,7 +95,7 @@ int Loopback::TxBurst(std::uint16_t queue, NetBuf** pkt, std::uint16_t* cnt) {
     RxQueue& rxq = rxqs_[q];
     if (delivered[q] && rxq.intr_enabled && rxq.intr_armed) {
       rxq.intr_armed = false;
-      ++rxq.stats.rx_interrupts;
+      ++queue_stats_[q].rx_interrupts;
       if (rxq.intr_handler) {
         rxq.intr_handler(q);
       }
@@ -109,12 +110,13 @@ int Loopback::RxBurst(std::uint16_t queue, NetBuf** pkt, std::uint16_t* cnt) {
     return kStatusUnderrun;
   }
   RxQueue& rxq = rxqs_[queue];
+  Stats& rxs = queue_stats_[queue];
   std::uint16_t got = 0;
   while (got < *cnt && !rxq.ring.empty()) {
     pkt[got++] = rxq.ring.front();
     rxq.ring.pop_front();
-    rxq.stats.rx_bytes += pkt[got - 1]->len;
-    ++rxq.stats.rx_packets;
+    rxs.rx_bytes += pkt[got - 1]->len;
+    ++rxs.rx_packets;
   }
   *cnt = got;
   int flags = got > 0 ? kStatusSuccess : 0;
@@ -145,34 +147,14 @@ ukarch::Status Loopback::RxIntrDisable(std::uint16_t queue) {
 
 NetDev::Stats Loopback::stats() const {
   Stats agg{};
-  for (const Stats& t : txq_stats_) {
-    agg.tx_packets += t.tx_packets;
-    agg.tx_bytes += t.tx_bytes;
-    agg.tx_drops += t.tx_drops;
-  }
-  for (const RxQueue& q : rxqs_) {
-    agg.rx_packets += q.stats.rx_packets;
-    agg.rx_bytes += q.stats.rx_bytes;
-    agg.rx_drops += q.stats.rx_drops;
-    agg.rx_interrupts += q.stats.rx_interrupts;
+  for (const Stats& q : queue_stats_) {
+    ukarch::AddTo(&agg, q);
   }
   return agg;
 }
 
 NetDev::Stats Loopback::QueueStats(std::uint16_t queue) const {
-  Stats s{};
-  if (queue < txq_stats_.size()) {
-    s.tx_packets = txq_stats_[queue].tx_packets;
-    s.tx_bytes = txq_stats_[queue].tx_bytes;
-    s.tx_drops = txq_stats_[queue].tx_drops;
-  }
-  if (queue < rxqs_.size()) {
-    s.rx_packets = rxqs_[queue].stats.rx_packets;
-    s.rx_bytes = rxqs_[queue].stats.rx_bytes;
-    s.rx_drops = rxqs_[queue].stats.rx_drops;
-    s.rx_interrupts = rxqs_[queue].stats.rx_interrupts;
-  }
-  return s;
+  return queue < queue_stats_.size() ? queue_stats_[queue] : Stats{};
 }
 
 }  // namespace uknetdev

@@ -28,7 +28,7 @@ class Loopback final : public NetDev {
       max_queues_ = kMaxQueues;
     }
     rxqs_.resize(1);
-    txq_stats_.resize(1);
+    queue_stats_.resize(1);
   }
 
   const char* name() const override { return "loopback"; }
@@ -63,7 +63,6 @@ class Loopback final : public NetDev {
     std::deque<NetBuf*> ring;
     bool intr_enabled = false;
     bool intr_armed = false;
-    Stats stats{};  // rx_* fields only
   };
 
   ukplat::MemRegion* mem_;
@@ -72,7 +71,8 @@ class Loopback final : public NetDev {
   std::uint16_t nb_rx_ = 1;
   std::uint16_t nb_tx_ = 1;
   std::vector<RxQueue> rxqs_;
-  std::vector<Stats> txq_stats_;  // tx_* fields only
+  // Indexed by queue: tx_* of TX queue q and rx_* of RX queue q.
+  std::vector<Stats> queue_stats_;
   bool started_ = false;
 };
 

@@ -1,7 +1,9 @@
 #include "uknetdev/virtio_net.h"
 
+#include <algorithm>
 #include <cstring>
 
+#include "ukarch/counters.h"
 #include "uknetdev/rss.h"
 
 namespace uknetdev {
@@ -17,6 +19,7 @@ VirtioNet::VirtioNet(ukplat::MemRegion* mem, ukplat::Clock* clock, ukplat::Wire*
   }
   txqs_.resize(1);
   rxqs_.resize(1);
+  queue_stats_.resize(1);
   // Make the switch port exist now: a polled NIC may never register a signal
   // fn, and a port the switch has never seen receives no flooded frames.
   wire_->AttachPort(config_.wire_side);
@@ -67,6 +70,7 @@ ukarch::Status VirtioNet::Configure(const DevConf& conf) {
   txqs_.resize(nb_tx_);
   rxqs_.clear();
   rxqs_.resize(nb_rx_);
+  queue_stats_.assign(std::max(nb_rx_, nb_tx_), Stats{});
   return ukarch::Status::kOk;
 }
 
@@ -144,17 +148,18 @@ int VirtioNet::TxBurst(std::uint16_t queue, NetBuf** pkt, std::uint16_t* cnt) {
     return kStatusUnderrun;
   }
   TxQueue& txq = txqs_[queue];
+  Stats& txs = queue_stats_[queue];
   const std::uint16_t requested = *cnt;
   std::uint16_t queued = 0;
   for (; queued < requested; ++queued) {
     NetBuf* nb = pkt[queued];
     if (nb->len > wire_->config().mtu + 14) {
-      ++txq.stats.tx_drops;
+      ++txs.tx_drops;
       break;
     }
     // Prepend the virtio_net_hdr in buffer headroom (no copy).
     if (!nb->Push(kVirtioHdrBytes)) {
-      ++txq.stats.tx_drops;
+      ++txs.tx_drops;
       break;
     }
     std::byte* hdr = mem_->At(nb->data_gpa(), kVirtioHdrBytes);
@@ -212,7 +217,9 @@ void VirtioNet::BackendPoll() {
                               : m.vhost_user_per_packet;
 
   // TX direction: guest rings -> wire.
-  for (TxQueue& txq : txqs_) {
+  for (std::size_t q = 0; q < txqs_.size(); ++q) {
+    TxQueue& txq = txqs_[q];
+    Stats& txs = queue_stats_[q];
     while (auto chain = txq.vq->DevicePop()) {
       const auto& seg = chain->segments[0];
       const std::byte* bytes = mem_->At(seg.gpa, seg.len);
@@ -223,10 +230,10 @@ void VirtioNet::BackendPoll() {
         clock_->Charge(per_pkt);
         clock_->ChargeCopy(frame.size());
         if (wire_->Send(config_.wire_side, std::move(frame))) {
-          txq.stats.tx_bytes += seg.len - kVirtioHdrBytes;
-          ++txq.stats.tx_packets;
+          txs.tx_bytes += seg.len - kVirtioHdrBytes;
+          ++txs.tx_packets;
         } else {
-          ++txq.stats.tx_drops;
+          ++txs.tx_drops;
         }
       }
       txq.vq->DevicePush(chain->head, 0);
@@ -252,13 +259,13 @@ void VirtioNet::BackendPoll() {
     RxQueue& rxq = rxqs_[qi];
     auto chain = rxq.vq->DevicePop();
     if (!chain.has_value()) {
-      ++rxq.stats.rx_drops;  // ring dry (pool exhausted): this queue's loss only
+      ++queue_stats_[qi].rx_drops;  // ring dry (pool exhausted): this queue's loss only
       continue;
     }
     const auto& seg = chain->segments[0];
     std::uint32_t total = kVirtioHdrBytes + static_cast<std::uint32_t>(frame->size());
     if (total > seg.len) {
-      ++rxq.stats.rx_drops;
+      ++queue_stats_[qi].rx_drops;
       rxq.vq->DevicePush(chain->head, 0);
       continue;
     }
@@ -286,7 +293,7 @@ void VirtioNet::RaiseRxInterruptIfArmed(std::uint16_t queue) {
   if (rxq.intr_enabled && rxq.intr_armed) {
     rxq.intr_armed = false;  // line stays inactive until RxBurst drains the queue
     clock_->Charge(clock_->model().irq_inject);
-    ++rxq.stats.rx_interrupts;
+    ++queue_stats_[queue].rx_interrupts;
     if (rxq.intr_handler) {
       rxq.intr_handler(queue);
     }
@@ -300,6 +307,7 @@ int VirtioNet::RxBurst(std::uint16_t queue, NetBuf** pkt, std::uint16_t* cnt) {
   }
   BackendPoll();
   RxQueue& rxq = rxqs_[queue];
+  Stats& rxs = queue_stats_[queue];
   std::uint16_t got = 0;
   while (got < *cnt) {
     auto done = rxq.vq->DequeueCompletion();
@@ -313,8 +321,8 @@ int VirtioNet::RxBurst(std::uint16_t queue, NetBuf** pkt, std::uint16_t* cnt) {
     }
     nb->headroom = kVirtioHdrBytes;
     nb->len = done->written - kVirtioHdrBytes;
-    rxq.stats.rx_bytes += nb->len;
-    ++rxq.stats.rx_packets;
+    rxs.rx_bytes += nb->len;
+    ++rxs.rx_packets;
     pkt[got++] = nb;
   }
   *cnt = got;
@@ -357,34 +365,14 @@ ukarch::Status VirtioNet::RxIntrDisable(std::uint16_t queue) {
 
 NetDev::Stats VirtioNet::stats() const {
   Stats agg{};
-  for (const TxQueue& q : txqs_) {
-    agg.tx_packets += q.stats.tx_packets;
-    agg.tx_bytes += q.stats.tx_bytes;
-    agg.tx_drops += q.stats.tx_drops;
-  }
-  for (const RxQueue& q : rxqs_) {
-    agg.rx_packets += q.stats.rx_packets;
-    agg.rx_bytes += q.stats.rx_bytes;
-    agg.rx_drops += q.stats.rx_drops;
-    agg.rx_interrupts += q.stats.rx_interrupts;
+  for (const Stats& q : queue_stats_) {
+    ukarch::AddTo(&agg, q);
   }
   return agg;
 }
 
 NetDev::Stats VirtioNet::QueueStats(std::uint16_t queue) const {
-  Stats s{};
-  if (queue < txqs_.size()) {
-    s.tx_packets = txqs_[queue].stats.tx_packets;
-    s.tx_bytes = txqs_[queue].stats.tx_bytes;
-    s.tx_drops = txqs_[queue].stats.tx_drops;
-  }
-  if (queue < rxqs_.size()) {
-    s.rx_packets = rxqs_[queue].stats.rx_packets;
-    s.rx_bytes = rxqs_[queue].stats.rx_bytes;
-    s.rx_drops = rxqs_[queue].stats.rx_drops;
-    s.rx_interrupts = rxqs_[queue].stats.rx_interrupts;
-  }
-  return s;
+  return queue < queue_stats_.size() ? queue_stats_[queue] : Stats{};
 }
 
 }  // namespace uknetdev

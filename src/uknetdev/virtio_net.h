@@ -81,7 +81,6 @@ class VirtioNet final : public NetDev {
  private:
   struct TxQueue {
     std::unique_ptr<ukplat::Virtqueue> vq;
-    Stats stats{};  // tx_* fields only
   };
   struct RxQueue {
     std::unique_ptr<ukplat::Virtqueue> vq;
@@ -89,7 +88,6 @@ class VirtioNet final : public NetDev {
     std::function<void(std::uint16_t)> intr_handler;
     bool intr_enabled = false;
     bool intr_armed = false;
-    Stats stats{};  // rx_* fields only
   };
 
   void FillRxRing(std::uint16_t queue);
@@ -111,6 +109,8 @@ class VirtioNet final : public NetDev {
   std::uint16_t nb_tx_ = 1;
   std::vector<TxQueue> txqs_;
   std::vector<RxQueue> rxqs_;
+  // Indexed by queue: tx_* of TX queue q and rx_* of RX queue q.
+  std::vector<Stats> queue_stats_;
 
   std::atomic<std::uint64_t> kicks_{0};
   bool signal_registered_ = false;

@@ -8,7 +8,8 @@
 // executes for real; only privilege/device-crossing costs are charged.
 //
 // The constants come from the paper's own Table 1 (syscall costs) plus widely
-// published KVM exit/vhost numbers; DESIGN.md documents the calibration.
+// published KVM exit/vhost numbers; bench/BENCH.md ("Calibration") documents
+// the calibration.
 #ifndef UKPLAT_CLOCK_H_
 #define UKPLAT_CLOCK_H_
 

@@ -89,7 +89,6 @@ class Virtqueue {
   }
 
   std::uint16_t NumFree() const { return num_free_; }
-  std::uint16_t QueueSize() const { return qsize_; }
 
   // ---- Device (backend) side ------------------------------------------------
 

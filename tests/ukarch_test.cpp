@@ -1,12 +1,17 @@
-// Tests for ukarch helpers: alignment math, hashes, CRC-32C, deterministic RNG.
+// Tests for ukarch helpers: alignment math, hashes, CRC-32C, deterministic RNG,
+// statistics counters.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <set>
 #include <string_view>
+#include <thread>
+#include <vector>
 
 #include "ukarch/align.h"
+#include "ukarch/counters.h"
 #include "ukarch/crc32.h"
 #include "ukarch/hash.h"
 #include "ukarch/random.h"
@@ -183,6 +188,117 @@ TEST(Status, RoundTrip) {
   EXPECT_EQ(Raw(Status::kNoSys), -38);
   EXPECT_STREQ(StatusName(Status::kNoEnt), "ENOENT");
   EXPECT_STREQ(StatusName(Status::kConnRefused), "ECONNREFUSED");
+}
+
+struct TestCounters {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  std::uint64_t c = 0;
+};
+
+// A snapshot may extend another; the base's fields stay addressable.
+struct ExtendedCounters : TestCounters {
+  std::uint64_t d = 0;
+};
+
+TEST(Counters, AddLoadRoundTripsEveryField) {
+  Counters<ExtendedCounters> block;
+  const ExtendedCounters zero = block.Load();
+  EXPECT_EQ(zero.a + zero.b + zero.c + zero.d, 0u);
+  block.Add(&ExtendedCounters::a);
+  block.Add(&ExtendedCounters::b, 20);
+  block.Add(&ExtendedCounters::c, 300);
+  block.Add(&ExtendedCounters::d, 4000);
+  block.Add(&ExtendedCounters::a, 2);
+  const ExtendedCounters s = block.Load();
+  EXPECT_EQ(s.a, 3u);
+  EXPECT_EQ(s.b, 20u);
+  EXPECT_EQ(s.c, 300u);
+  EXPECT_EQ(s.d, 4000u);
+}
+
+TEST(Counters, AddToIsFieldWise) {
+  TestCounters acc{.a = 1, .b = 2, .c = 3};
+  AddTo(&acc, TestCounters{.a = 10, .b = 0, .c = 30});
+  EXPECT_EQ(acc.a, 11u);
+  EXPECT_EQ(acc.b, 2u);
+  EXPECT_EQ(acc.c, 33u);
+}
+
+TEST(CounterSlots, SumIsTheSumOfEverySlot) {
+  constexpr std::size_t kSlots = 4;
+  CounterSlots<TestCounters, kSlots> slots;
+  for (std::size_t i = 0; i < kSlots; ++i) {
+    slots.At(i).Add(&TestCounters::a, i + 1);
+    slots.At(i).Add(&TestCounters::c, 10 * (i + 1));
+  }
+  TestCounters expect;
+  for (std::size_t i = 0; i < kSlots; ++i) {
+    const TestCounters one = slots.Load(i);
+    EXPECT_EQ(one.a, i + 1);
+    expect.a += one.a;
+    expect.b += one.b;
+    expect.c += one.c;
+  }
+  const TestCounters sum = slots.Sum();
+  EXPECT_EQ(sum.a, expect.a);
+  EXPECT_EQ(sum.b, expect.b);
+  EXPECT_EQ(sum.c, expect.c);
+  EXPECT_EQ(sum.a, 10u);
+  EXPECT_EQ(sum.c, 100u);
+}
+
+TEST(CounterSlots, OutOfRangeSlotLandsInTheLastSlot) {
+  CounterSlots<TestCounters, 4> slots;
+  slots.At(4).Add(&TestCounters::b);
+  slots.At(1000).Add(&TestCounters::b);
+  EXPECT_EQ(slots.Load(3).b, 2u);
+  EXPECT_EQ(slots.Load(99).b, 2u);  // reads clamp the same way
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(slots.Load(i).b, 0u);
+  }
+  EXPECT_EQ(slots.Sum().b, 2u);
+}
+
+// One real thread per slot bumps its own block while the main thread keeps
+// summing. Every slot only grows, so successive sums never shrink; once the
+// writers join, the sum is exact.
+TEST(CounterSlots, ConcurrentWritersAndSummingReaderAreExact) {
+  constexpr std::size_t kWriters = 4;
+  constexpr std::uint64_t kBumps = 20000;
+  CounterSlots<TestCounters, kWriters> slots;
+  std::atomic<std::size_t> finished{0};
+  std::vector<std::thread> writers;
+  for (std::size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&slots, &finished, w] {
+      for (std::uint64_t i = 0; i < kBumps; ++i) {
+        slots.At(w).Add(&TestCounters::a);
+        slots.At(w).Add(&TestCounters::c, 2);
+      }
+      finished.fetch_add(1, std::memory_order_release);
+    });
+  }
+  std::uint64_t last = 0;
+  std::uint64_t shrinks = 0;
+  std::uint64_t overshoots = 0;
+  while (finished.load(std::memory_order_acquire) < kWriters) {
+    const TestCounters s = slots.Sum();
+    shrinks += s.a < last ? 1 : 0;
+    overshoots += s.a > kWriters * kBumps ? 1 : 0;
+    last = s.a;
+  }
+  for (std::thread& t : writers) {
+    t.join();
+  }
+  EXPECT_EQ(shrinks, 0u);
+  EXPECT_EQ(overshoots, 0u);
+  const TestCounters sum = slots.Sum();
+  EXPECT_EQ(sum.a, kWriters * kBumps);
+  EXPECT_EQ(sum.b, 0u);
+  EXPECT_EQ(sum.c, 2 * kWriters * kBumps);
+  for (std::size_t w = 0; w < kWriters; ++w) {
+    EXPECT_EQ(slots.Load(w).a, kBumps);
+  }
 }
 
 }  // namespace

@@ -305,6 +305,63 @@ TEST_F(MultiQueueLoopbackTest, VirtioRejectsInvalidQueueIndicesToo) {
   EXPECT_EQ(nic.RxQueueSetup(0, rxc), ukarch::Status::kInval);  // still needs a pool
 }
 
+// stats() is the field-wise sum of QueueStats(q) over the device's queues.
+void ExpectStatsAreQueueSum(const uknetdev::NetDev& dev, std::uint16_t queues) {
+  uknetdev::NetDev::Stats sum;
+  for (std::uint16_t q = 0; q < queues; ++q) {
+    const uknetdev::NetDev::Stats s = dev.QueueStats(q);
+    sum.tx_packets += s.tx_packets;
+    sum.tx_bytes += s.tx_bytes;
+    sum.tx_drops += s.tx_drops;
+    sum.rx_packets += s.rx_packets;
+    sum.rx_bytes += s.rx_bytes;
+    sum.rx_drops += s.rx_drops;
+    sum.rx_interrupts += s.rx_interrupts;
+  }
+  const uknetdev::NetDev::Stats agg = dev.stats();
+  EXPECT_EQ(agg.tx_packets, sum.tx_packets);
+  EXPECT_EQ(agg.tx_bytes, sum.tx_bytes);
+  EXPECT_EQ(agg.tx_drops, sum.tx_drops);
+  EXPECT_EQ(agg.rx_packets, sum.rx_packets);
+  EXPECT_EQ(agg.rx_bytes, sum.rx_bytes);
+  EXPECT_EQ(agg.rx_drops, sum.rx_drops);
+  EXPECT_EQ(agg.rx_interrupts, sum.rx_interrupts);
+}
+
+// Both TX queues carry frames for both RX queues, with 4-buffer RX pools so
+// each RX queue overflows: every Stats field is nonzero somewhere, and the
+// aggregate still equals the per-queue sum.
+TEST_F(MultiQueueLoopbackTest, AggregateStatsAreTheSumOfQueueStats) {
+  Setup(/*bufs=*/4);
+  ASSERT_TRUE(Ok(lo_->RxIntrEnable(0)));
+  ASSERT_TRUE(Ok(lo_->RxIntrEnable(1)));
+  const std::uint16_t ports[2] = {PortForQueue(0), PortForQueue(1)};
+  for (std::uint16_t txq = 0; txq < 2; ++txq) {
+    for (int i = 0; i < 6; ++i) {
+      auto f = UdpFrame(MakeIp(10, 0, 0, 2), ports[i % 2], MakeIp(10, 0, 0, 1), 7000);
+      uknetdev::NetBuf* nb = tx_pool_->Alloc();
+      ASSERT_NE(nb, nullptr);
+      std::memcpy(mem_.At(nb->data_gpa(), f.size()), f.data(), f.size());
+      nb->len = static_cast<std::uint32_t>(f.size());
+      std::uint16_t cnt = 1;
+      lo_->TxBurst(txq, &nb, &cnt);
+    }
+  }
+  EXPECT_EQ(Drain(0), 4);
+  EXPECT_EQ(Drain(1), 4);
+  for (std::uint16_t q = 0; q < 2; ++q) {
+    EXPECT_GT(lo_->QueueStats(q).tx_packets, 0u);
+    EXPECT_GT(lo_->QueueStats(q).rx_packets, 0u);
+  }
+  const uknetdev::NetDev::Stats agg = lo_->stats();
+  EXPECT_EQ(agg.tx_packets, 8u);
+  EXPECT_EQ(agg.tx_drops, 4u);
+  EXPECT_EQ(agg.rx_packets, 8u);
+  EXPECT_EQ(agg.rx_drops, 4u);
+  EXPECT_EQ(agg.rx_interrupts, 2u);
+  ExpectStatsAreQueueSum(*lo_, 2);
+}
+
 // ---- stack-level: a 2-queue NetIf end to end ---------------------------------------
 
 class TwoQueueStackTest : public netharness::TwoHostTest {
@@ -535,6 +592,48 @@ TEST_F(TwoQueueStackTest, SlowConsumerOnOneQueueKeepsSiblingZeroCopy) {
   EXPECT_NE(views[n - 1]->nb, nullptr) << "sibling queue lost zero-copy delivery";
   EXPECT_EQ(views[n - 1]->rx_queue, 1);
   server->ReleaseFront(server->queued());
+}
+
+// The same aggregate contract on virtio-net, driven by real stack traffic:
+// UDP flows on both queues, echoed back, so each queue of both NICs
+// transmits and receives.
+TEST_F(TwoQueueStackTest, VirtioAggregateStatsAreTheSumOfQueueStats) {
+  auto server = b_.stack->UdpOpen();
+  ASSERT_TRUE(Ok(server->Bind(7000)));
+  ASSERT_TRUE(a_.stack->Ping(MakeIp(10, 0, 0, 2), 1));
+  ASSERT_TRUE(PumpUntil([&] { return a_.stack->pings_answered() == 1; }));
+
+  std::vector<std::shared_ptr<UdpSocket>> clients;
+  bool queue_hit[2] = {false, false};
+  while (!queue_hit[0] || !queue_hit[1] || clients.size() < 6) {
+    auto c = a_.stack->UdpOpen();
+    queue_hit[a_.netif->TxQueueFor(MakeIp(10, 0, 0, 2), c->local_port(), 7000)] = true;
+    clients.push_back(std::move(c));
+  }
+  std::uint8_t msg[] = {'s', 'u', 'm'};
+  for (auto& c : clients) {
+    ASSERT_EQ(c->SendTo(MakeIp(10, 0, 0, 2), 7000, msg), 3);
+  }
+  std::size_t echoed = 0;
+  ASSERT_TRUE(PumpUntil([&] {
+    while (auto d = server->RecvFrom()) {
+      server->SendTo(d->src_ip, d->src_port, d->payload);
+      ++echoed;
+    }
+    std::size_t answered = 0;
+    for (auto& c : clients) {
+      answered += c->queued();
+    }
+    return echoed == clients.size() && answered == clients.size();
+  }));
+
+  for (const uknetdev::VirtioNet* nic : {a_.nic.get(), b_.nic.get()}) {
+    for (std::uint16_t q = 0; q < 2; ++q) {
+      EXPECT_GT(nic->QueueStats(q).tx_packets, 0u);
+      EXPECT_GT(nic->QueueStats(q).rx_packets, 0u);
+    }
+    ExpectStatsAreQueueSum(*nic, 2);
+  }
 }
 
 }  // namespace
