@@ -35,7 +35,6 @@ BTree::Node* BTree::NewLeaf() {
   if (mem == nullptr) {
     return nullptr;
   }
-  ++nodes_;
   auto* leaf = new (mem) Leaf();
   leaf->is_leaf = true;
   return leaf;
@@ -46,14 +45,12 @@ BTree::Node* BTree::NewInner() {
   if (mem == nullptr) {
     return nullptr;
   }
-  ++nodes_;
   auto* inner = new (mem) Inner();
   inner->is_leaf = false;
   return inner;
 }
 
 void BTree::FreeNode(Node* n) {
-  --nodes_;
   alloc_->Free(n);
 }
 

@@ -42,7 +42,6 @@ class BTree {
             const std::function<bool(std::int64_t, Payload)>& fn) const;
 
   std::size_t size() const { return size_; }
-  std::size_t node_count() const { return nodes_; }
   int height() const { return height_; }
 
   // Test hook: checks ordering + occupancy invariants on every node.
@@ -72,7 +71,6 @@ class BTree {
   ukalloc::Allocator* alloc_;
   Node* root_ = nullptr;
   std::size_t size_ = 0;
-  std::size_t nodes_ = 0;
   int height_ = 1;
 };
 

@@ -7,16 +7,21 @@
 #include "ukarch/hash.h"
 
 namespace apps {
+namespace {
 
-const char* KvModeName(KvMode mode) {
-  switch (mode) {
-    case KvMode::kSocketSingle: return "socket-single";
-    case KvMode::kSocketBatch: return "socket-batch";
-    case KvMode::kUkNetdev: return "uknetdev";
-    case KvMode::kDpdkStyle: return "dpdk";
-  }
-  return "?";
+constexpr std::size_t kReplyHdrs =
+    uknet::kEthHdrBytes + uknet::kIp4HdrBytes + uknet::kUdpHdrBytes;
+
+// Longest reply EncodeReply writes for an op of |nkeys| keys.
+constexpr std::size_t MaxReplyBytes(std::size_t nkeys) {
+  return 2 + nkeys * (2 + KvServer::kMaxInlineValue);
 }
+
+std::uint16_t LoadU16(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
+}
+
+}  // namespace
 
 std::vector<std::uint8_t> EncodeKvRequest(const KvRequest& req) {
   std::vector<std::uint8_t> out;
@@ -63,7 +68,7 @@ KvServer::KvServer(uknetdev::NetDev* dev, ukplat::MemRegion* mem,
       queues_(queues == 0 ? 1 : queues) {}
 
 bool KvServer::Start() {
-  if (mode_ == KvMode::kSocketSingle || mode_ == KvMode::kSocketBatch) {
+  if (SocketMode()) {
     // One queue, one shard: the sharding machinery degenerates to the old
     // single-store server (every key hashes to shard 0).
     shards_.assign(1, {});
@@ -162,7 +167,7 @@ std::size_t KvServer::PumpQueueWait(std::uint16_t queue,
   if (sched_ == nullptr || sched_->current() == nullptr) {
     return handled;  // no scheduler: stay a plain (spinning) pump
   }
-  if (mode_ == KvMode::kSocketSingle || mode_ == KvMode::kSocketBatch) {
+  if (SocketMode()) {
     lc.Add(&Stats::blocked_waits);
     if (queue != 0) {
       // The single server fd lives on queue 0's loop; the event loop is not
@@ -370,144 +375,158 @@ std::size_t KvServer::DrainRings(std::uint16_t queue) {
     ShardMsg m;
     while (ring->Pop(&m)) {
       ++processed;
-      switch (m.type) {
-        case ShardMsg::kGet: {
-          // Foreign loop asks for one of OUR keys: the only store touch is
-          // the diagonal (queue, queue) — shared-nothing holds.
-          std::string* v = StoreFind(queue, queue, m.key);
-          ShardMsg r;
-          r.type = ShardMsg::kResp;
-          r.from = queue;
-          r.req_id = m.req_id;
-          r.slot = m.slot;
-          r.key = m.key;
-          r.found = v != nullptr;
-          if (v != nullptr) {
-            r.vlen = static_cast<std::uint8_t>(std::min(v->size(), kMaxInlineValue));
-            std::memcpy(r.val, v->data(), r.vlen);
-          }
-          RingSend(queue, m.from, r);
-          WakeShard(m.from);
-          break;
+      if (m.type == ShardMsg::kResp) {
+        auto& pend = pending_[queue];
+        auto it = std::find_if(pend.begin(), pend.end(),
+                               [&](const PendingOp& op) { return op.id == m.req_id; });
+        if (it == pend.end()) {
+          continue;
         }
-        case ShardMsg::kSet: {
-          StoreSet(queue, queue, m.key, std::span(m.val, m.vlen));
-          ShardMsg r;
-          r.type = ShardMsg::kResp;
-          r.from = queue;
-          r.req_id = m.req_id;
-          r.slot = m.slot;
-          r.key = m.key;
-          r.found = true;
-          RingSend(queue, m.from, r);
-          WakeShard(m.from);
-          break;
+        auto& slot = it->slots[m.slot];
+        slot.found = m.found;
+        slot.vlen = m.vlen;
+        std::memcpy(slot.val, m.val, m.vlen);
+        if (--it->remaining == 0) {
+          EmitDeferredReply(*it);
+          pend.erase(it);
         }
-        case ShardMsg::kResp: {
-          auto& pend = pending_[queue];
-          for (auto it = pend.begin(); it != pend.end(); ++it) {
-            if (it->id != m.req_id) {
-              continue;
-            }
-            auto& slot = it->slots[m.slot];
-            slot.found = m.found;
-            slot.vlen = m.vlen;
-            std::memcpy(slot.val, m.val, m.vlen);
-            if (--it->remaining == 0) {
-              EmitDeferredReply(*it);
-              pend.erase(it);
-            }
-            break;
-          }
-          break;
-        }
+        continue;
       }
+      // A foreign loop's GET or SET on one of OUR keys: the only store touch
+      // is the diagonal (queue, queue) — shared-nothing holds.
+      ShardMsg r;
+      r.type = ShardMsg::kResp;
+      r.from = queue;
+      r.req_id = m.req_id;
+      r.slot = m.slot;
+      r.key = m.key;
+      if (m.type == ShardMsg::kSet) {
+        StoreSet(queue, queue, m.key, std::span(m.val, m.vlen));
+        r.found = true;
+      } else if (std::string* v = StoreFind(queue, queue, m.key); v != nullptr) {
+        r.found = true;
+        r.vlen = static_cast<std::uint8_t>(std::min(v->size(), kMaxInlineValue));
+        std::memcpy(r.val, v->data(), r.vlen);
+      }
+      RingSend(queue, m.from, r);
+      WakeShard(m.from);
     }
   }
   return processed;
 }
 
-void KvServer::EmitDeferredReply(const PendingOp& op) {
+std::size_t KvServer::EncodeReply(const PendingOp& op, std::uint8_t* out) {
+  if (op.op == 'S') {
+    out[0] = 'K';
+    return 1;
+  }
+  if (op.op == 'G') {
+    const PendingOp::Slot& s = op.slots[0];
+    if (!s.found) {
+      out[0] = 'E';
+      return 1;
+    }
+    std::memcpy(out, s.val, s.vlen);
+    return s.vlen;
+  }
+  out[0] = 'V';
+  out[1] = op.nkeys;
+  std::size_t w = 2;
+  for (std::uint8_t i = 0; i < op.nkeys; ++i) {
+    const PendingOp::Slot& s = op.slots[i];
+    if (!s.found) {
+      out[w++] = 0xff;
+      out[w++] = 0xff;
+      continue;
+    }
+    out[w++] = s.vlen;
+    out[w++] = 0;
+    std::memcpy(out + w, s.val, s.vlen);
+    w += s.vlen;
+  }
+  return w;
+}
+
+std::size_t KvServer::FrameReply(std::uint8_t* frame, const ReplyTo& to,
+                                 std::size_t reply_len) const {
   using namespace uknet;
-  constexpr std::size_t kHdrs = kEthHdrBytes + kIp4HdrBytes + kUdpHdrBytes;
+  const std::size_t total = kReplyHdrs + reply_len;
+  EthHeader eth{to.mac, dev_->mac(), kEthTypeIp4};
+  eth.Serialize(frame);
+  // The ID stays at the header default: Serialize sets DF, and an atomic
+  // datagram's ID carries no meaning (RFC 6864 §4.1).
+  Ip4Header ip;
+  ip.total_len = static_cast<std::uint16_t>(total - kEthHdrBytes);
+  ip.proto = kIpProtoUdp;
+  ip.src = ip_;
+  ip.dst = to.ip;
+  ip.Serialize(frame + kEthHdrBytes);
+  UdpHeader udp;
+  udp.src_port = port_;
+  udp.dst_port = to.port;
+  udp.Serialize(frame + kEthHdrBytes + kIp4HdrBytes, ip_, to.ip,
+                std::span(frame + kReplyHdrs, reply_len));
+  return total;
+}
+
+std::uint16_t KvServer::TxReplies(std::uint16_t queue, uknetdev::NetBuf** bufs,
+                                  std::uint16_t n) {
+  std::uint16_t sent = n;
+  dev_->TxBurst(queue, bufs, &sent);
+  for (std::uint16_t i = sent; i < n; ++i) {
+    if (bufs[i]->pool != nullptr) {
+      bufs[i]->pool->Free(bufs[i]);  // unsent buffers return to the pool
+    }
+  }
+  return sent;
+}
+
+void KvServer::EmitDeferredReply(const PendingOp& op) {
   uknetdev::NetBuf* out = tx_pools_[op.queue]->Alloc();
   if (out == nullptr) {
     return;  // TX pool dry: drop like a NIC would, the client retries
   }
-  std::uint32_t cap = out->capacity - out->headroom;
-  std::uint8_t* odata =
-      reinterpret_cast<std::uint8_t*>(mem_->At(out->data_gpa(), cap));
-  if (odata == nullptr || cap < kHdrs + 2 + kMaxMultiKeys * (2 + kMaxInlineValue)) {
-    tx_pools_[op.queue]->Free(out);
+  const std::uint32_t cap = out->capacity - out->headroom;
+  std::uint8_t* frame = reinterpret_cast<std::uint8_t*>(mem_->At(out->data_gpa(), cap));
+  if (frame == nullptr || cap < kReplyHdrs + MaxReplyBytes(op.nkeys)) {
+    out->pool->Free(out);
     return;
   }
-  std::uint8_t* p = odata + kHdrs;
-  std::size_t reply_len = 0;
-  if (op.op == 'G') {
-    const PendingOp::Slot& s = op.slots[0];
-    if (s.found) {
-      std::memcpy(p, s.val, s.vlen);
-      reply_len = s.vlen;
-    } else {
-      p[0] = 'E';
-      reply_len = 1;
-    }
-  } else if (op.op == 'S') {
-    p[0] = 'K';
-    reply_len = 1;
-  } else {  // 'M'
-    p[0] = 'V';
-    p[1] = op.nkeys;
-    std::size_t w = 2;
-    for (std::uint8_t i = 0; i < op.nkeys; ++i) {
-      const PendingOp::Slot& s = op.slots[i];
-      if (!s.found) {
-        p[w++] = 0xff;
-        p[w++] = 0xff;
-        continue;
-      }
-      p[w++] = s.vlen;
-      p[w++] = 0;
-      std::memcpy(p + w, s.val, s.vlen);
-      w += s.vlen;
-    }
-    reply_len = w;
-  }
-  const std::size_t total = kHdrs + reply_len;
-  EthHeader oeth{op.dst_mac, dev_->mac(), kEthTypeIp4};
-  oeth.Serialize(odata);
-  Ip4Header oip;
-  oip.total_len = static_cast<std::uint16_t>(total - kEthHdrBytes);
-  oip.id = ip_id_++;
-  oip.proto = kIpProtoUdp;
-  oip.src = ip_;
-  oip.dst = op.dst_ip;
-  oip.Serialize(odata + kEthHdrBytes);
-  UdpHeader oudp;
-  oudp.src_port = port_;
-  oudp.dst_port = op.dst_port;
-  oudp.Serialize(odata + kEthHdrBytes + kIp4HdrBytes, ip_, op.dst_ip,
-                 std::span(p, reply_len));
-  out->len = static_cast<std::uint32_t>(total);
+  out->len = static_cast<std::uint32_t>(
+      FrameReply(frame, op.reply_to, EncodeReply(op, frame + kReplyHdrs)));
   // The reply bursts from the ARRIVAL queue's loop — flow affinity holds even
   // for cross-shard ops; foreign shards only ever touched the rings.
-  std::uint16_t sent = 1;
-  uknetdev::NetBuf* bufs[1] = {out};
-  dev_->TxBurst(op.queue, bufs, &sent);
-  if (sent == 0) {
-    tx_pools_[op.queue]->Free(out);
-    return;
+  if (TxReplies(op.queue, &out, 1) == 1) {
+    loops_.At(op.queue).Add(&Stats::requests);
   }
-  loops_.At(op.queue).Add(&Stats::requests);
+}
+
+void KvServer::Defer(const PendingOp& op) {
+  loops_.At(op.queue).Add(&Stats::cross_shard_ops);
+  pending_[op.queue].push_back(op);
+  for (std::uint8_t i = 0; i < op.nkeys; ++i) {
+    const PendingOp::Slot& s = op.slots[i];
+    const std::uint16_t shard = ShardForKey(s.key, queues_);
+    if (shard == op.queue) {
+      continue;
+    }
+    ShardMsg m;
+    m.type = op.op == 'S' ? ShardMsg::kSet : ShardMsg::kGet;
+    m.from = op.queue;
+    m.req_id = op.id;
+    m.slot = i;
+    m.key = s.key;
+    m.vlen = s.vlen;  // a SET's value; 0 for a key still to be read
+    std::memcpy(m.val, s.val, s.vlen);
+    RingSend(op.queue, shard, m);
+    WakeShard(shard);
+  }
 }
 
 std::size_t KvServer::HandleInto(std::uint16_t queue,
                                  std::span<const std::uint8_t> payload,
                                  std::uint8_t* out, std::size_t cap,
-                                 const ReplyTo* reply_to, bool* deferred) {
-  if (deferred != nullptr) {
-    *deferred = false;
-  }
+                                 const ReplyTo* reply_to) {
   if (cap < 1) {
     return 0;
   }
@@ -525,141 +544,50 @@ std::size_t KvServer::HandleInto(std::uint16_t queue,
   // Deferral needs somewhere to send the eventual reply; socket modes pass
   // no reply_to but run queues_ == 1, where every key is local anyway.
   const bool can_defer = reply_to != nullptr && queues_ > 1;
-  if (payload[0] == 'M') {
-    const std::uint8_t n = payload[1];
-    if (n == 0 || n > kMaxMultiKeys || payload.size() < 2u + 2u * n) {
+  const char opcode = static_cast<char>(payload[0]);
+  std::uint8_t nkeys = 1;
+  std::size_t keys_at = 1;  // offset of the first u16 key
+  std::uint16_t set_len = 0;
+  if (opcode == 'M') {
+    nkeys = payload[1];
+    keys_at = 2;
+    if (nkeys == 0 || nkeys > kMaxMultiKeys || payload.size() < 2u + 2u * nkeys) {
       out[0] = 'E';
       return 1;
     }
-    // Parse every key up front: the reply may be written in place over the
-    // request buffer, which would clobber keys still unread.
-    std::uint16_t keys[kMaxMultiKeys];
-    for (std::uint8_t i = 0; i < n; ++i) {
-      keys[i] = static_cast<std::uint16_t>(payload[2 + 2 * i] |
-                                           (payload[3 + 2 * i] << 8));
-    }
-    PendingOp op;
-    op.op = 'M';
-    op.queue = queue;
-    op.nkeys = n;
-    for (std::uint8_t i = 0; i < n; ++i) {
-      op.slots[i].key = keys[i];
-      const std::uint16_t shard = ShardForKey(keys[i], queues_);
-      if (shard == queue) {
-        std::string* v = StoreFind(queue, shard, keys[i]);
-        op.slots[i].found = v != nullptr;
-        if (v != nullptr) {
-          op.slots[i].vlen =
-              static_cast<std::uint8_t>(std::min(v->size(), kMaxInlineValue));
-          std::memcpy(op.slots[i].val, v->data(), op.slots[i].vlen);
-        }
-      } else {
-        ++op.remaining;  // foreign key: resolved by the owner over the rings
-      }
-    }
-    if (op.remaining == 0) {
-      // All keys local: answer synchronously, no ring traffic.
-      if (cap < 2 + n * (2 + kMaxInlineValue)) {
-        return 0;
-      }
-      out[0] = 'V';
-      out[1] = n;
-      std::size_t w = 2;
-      for (std::uint8_t i = 0; i < n; ++i) {
-        const PendingOp::Slot& s = op.slots[i];
-        if (!s.found) {
-          out[w++] = 0xff;
-          out[w++] = 0xff;
-          continue;
-        }
-        out[w++] = s.vlen;
-        out[w++] = 0;
-        std::memcpy(out + w, s.val, s.vlen);
-        w += s.vlen;
-      }
-      return w;
-    }
-    if (!can_defer) {
-      out[0] = 'E';  // unreachable when queues_ == 1 (all keys hash local)
-      return 1;
-    }
-    op.id = next_req_id_[queue]++;
-    op.dst_mac = reply_to->mac;
-    op.dst_ip = reply_to->ip;
-    op.dst_port = reply_to->port;
-    loops_.At(queue).Add(&Stats::cross_shard_ops);
-    for (std::uint8_t i = 0; i < n; ++i) {
-      const std::uint16_t shard = ShardForKey(keys[i], queues_);
-      if (shard == queue) {
-        continue;
-      }
-      ShardMsg m;
-      m.type = ShardMsg::kGet;
-      m.from = queue;
-      m.req_id = op.id;
-      m.slot = i;
-      m.key = keys[i];
-      RingSend(queue, shard, m);
-      WakeShard(shard);
-    }
-    pending_[queue].push_back(op);
-    *deferred = true;
-    return 0;
-  }
-  if (payload.size() < 3) {
-    out[0] = 'E';
-    return 1;
-  }
-  std::uint16_t key = static_cast<std::uint16_t>(payload[1] | (payload[2] << 8));
-  const std::uint16_t shard = ShardForKey(key, queues_);
-  if (payload[0] == 'S') {
-    if (payload.size() < 5) {
+  } else {
+    if (payload.size() < 3) {
       out[0] = 'E';
       return 1;
     }
-    std::uint16_t len = static_cast<std::uint16_t>(payload[3] | (payload[4] << 8));
-    if (payload.size() < 5u + len) {
+    const std::uint16_t key = LoadU16(&payload[1]);
+    const std::uint16_t shard = ShardForKey(key, queues_);
+    const bool local = shard == queue || !can_defer;
+    if (opcode == 'S') {
+      if (payload.size() < 5) {
+        out[0] = 'E';
+        return 1;
+      }
+      set_len = LoadU16(&payload[3]);
+      if (payload.size() < 5u + set_len) {
+        out[0] = 'E';
+        return 1;
+      }
+      if (local) {
+        StoreSet(queue, shard, key, payload.subspan(5, set_len));
+        out[0] = 'K';
+        return 1;
+      }
+      if (set_len > kMaxInlineValue) {
+        // Cross-shard values must fit a ring slot. Clients keep values this
+        // large on their home flow (shard == queue), where there is no cap.
+        out[0] = 'E';
+        return 1;
+      }
+    } else if (opcode != 'G') {
       out[0] = 'E';
       return 1;
-    }
-    if (shard == queue || !can_defer) {
-      StoreSet(queue, shard, key, payload.subspan(5, len));
-      out[0] = 'K';
-      return 1;
-    }
-    if (len > kMaxInlineValue) {
-      // Cross-shard values must fit a ring slot. Clients keep values this
-      // large on their home flow (shard == queue), where there is no cap.
-      out[0] = 'E';
-      return 1;
-    }
-    PendingOp op;
-    op.id = next_req_id_[queue]++;
-    op.op = 'S';
-    op.queue = queue;
-    op.dst_mac = reply_to->mac;
-    op.dst_ip = reply_to->ip;
-    op.dst_port = reply_to->port;
-    op.nkeys = 1;
-    op.remaining = 1;
-    op.slots[0].key = key;
-    ShardMsg m;
-    m.type = ShardMsg::kSet;
-    m.from = queue;
-    m.req_id = op.id;
-    m.slot = 0;
-    m.key = key;
-    m.vlen = static_cast<std::uint8_t>(len);
-    std::memcpy(m.val, payload.data() + 5, len);
-    loops_.At(queue).Add(&Stats::cross_shard_ops);
-    pending_[queue].push_back(op);
-    RingSend(queue, shard, m);
-    WakeShard(shard);
-    *deferred = true;
-    return 0;
-  }
-  if (payload[0] == 'G') {
-    if (shard == queue || !can_defer) {
+    } else if (local) {
       std::string* v = StoreFind(queue, shard, key);
       if (v == nullptr) {
         out[0] = 'E';
@@ -673,31 +601,44 @@ std::size_t KvServer::HandleInto(std::uint16_t queue,
       std::memmove(out, v->data(), v->size());
       return v->size();
     }
-    PendingOp op;
-    op.id = next_req_id_[queue]++;
-    op.op = 'G';
-    op.queue = queue;
-    op.dst_mac = reply_to->mac;
-    op.dst_ip = reply_to->ip;
-    op.dst_port = reply_to->port;
-    op.nkeys = 1;
-    op.remaining = 1;
-    op.slots[0].key = key;
-    ShardMsg m;
-    m.type = ShardMsg::kGet;
-    m.from = queue;
-    m.req_id = op.id;
-    m.slot = 0;
-    m.key = key;
-    loops_.At(queue).Add(&Stats::cross_shard_ops);
-    pending_[queue].push_back(op);
-    RingSend(queue, shard, m);
-    WakeShard(shard);
-    *deferred = true;
-    return 0;
   }
-  out[0] = 'E';
-  return 1;
+  // A multi-get, or one key of a foreign shard. Every key (and a SET's value)
+  // is read out of |payload| first: the reply may overwrite the request.
+  PendingOp op;
+  op.op = opcode;
+  op.queue = queue;
+  op.nkeys = nkeys;
+  if (opcode == 'S') {
+    op.slots[0].vlen = static_cast<std::uint8_t>(set_len);  // rides to the owner
+    std::memcpy(op.slots[0].val, payload.data() + 5, set_len);
+  }
+  for (std::uint8_t i = 0; i < nkeys; ++i) {
+    PendingOp::Slot& s = op.slots[i];
+    s.key = LoadU16(&payload[keys_at + 2u * i]);
+    const std::uint16_t shard = ShardForKey(s.key, queues_);
+    if (shard != queue) {
+      ++op.remaining;  // foreign key: resolved by the owner over the rings
+      continue;
+    }
+    std::string* v = StoreFind(queue, shard, s.key);
+    s.found = v != nullptr;
+    if (v != nullptr) {
+      s.vlen = static_cast<std::uint8_t>(std::min(v->size(), kMaxInlineValue));
+      std::memcpy(s.val, v->data(), s.vlen);
+    }
+  }
+  if (op.remaining == 0) {
+    // All keys local: answer synchronously, no ring traffic.
+    return cap < MaxReplyBytes(nkeys) ? 0 : EncodeReply(op, out);
+  }
+  if (!can_defer) {
+    out[0] = 'E';  // unreachable when queues_ == 1 (all keys hash local)
+    return 1;
+  }
+  op.id = next_req_id_[queue]++;
+  op.reply_to = *reply_to;
+  Defer(op);
+  return 0;
 }
 
 std::size_t KvServer::PumpSocketSingle() {
@@ -713,7 +654,7 @@ std::size_t KvServer::PumpSocketSingle() {
     }
     const bool probe = n > 0 && buf[0] == 'P';
     std::size_t len = HandleInto(0, std::span(buf, static_cast<std::size_t>(n)),
-                                 reply, sizeof(reply), nullptr, nullptr);
+                                 reply, sizeof(reply), nullptr);
     api_->SendTo(fd_, src_ip, src_port, std::span(reply, len));
     loops_.At(0).Add(probe ? &Stats::probe_requests : &Stats::requests);
     ++handled;
@@ -732,147 +673,107 @@ std::size_t KvServer::PumpSocketBatch() {
   if (got <= 0) {
     return 0;
   }
-  // One reply batch back (all to the same client in this workload). Replies
-  // are written in place over the request buffers — no reply allocations.
+  // Replies are written in place over the request buffers — no reply
+  // allocations.
   posix::MmsgVec vecs[kBatch];
   std::uint64_t probes = 0;
   for (std::int64_t i = 0; i < got; ++i) {
     probes += msgs[i].len > 0 && msgs[i].data[0] == 'P' ? 1 : 0;
     std::size_t len = HandleInto(0, std::span(msgs[i].data, msgs[i].len),
-                                 msgs[i].data, msgs[i].cap, nullptr, nullptr);
+                                 msgs[i].data, msgs[i].cap, nullptr);
     vecs[i] = posix::MmsgVec{msgs[i].data, len};
   }
-  api_->SendMmsg(fd_, msgs[0].src_ip, msgs[0].src_port,
-                 std::span(vecs, static_cast<std::size_t>(got)));
+  // One sendmmsg per run of consecutive datagrams from the same source: a
+  // batch from one client goes back in a single call.
+  for (std::int64_t run = 0, i = 1; i <= got; ++i) {
+    if (i == got || msgs[i].src_ip != msgs[run].src_ip ||
+        msgs[i].src_port != msgs[run].src_port) {
+      api_->SendMmsg(fd_, msgs[run].src_ip, msgs[run].src_port,
+                     std::span(vecs + run, static_cast<std::size_t>(i - run)));
+      run = i;
+    }
+  }
   loops_.At(0).Add(&Stats::requests, static_cast<std::uint64_t>(got) - probes);
   loops_.At(0).Add(&Stats::probe_requests, probes);
   return static_cast<std::size_t>(got);
 }
 
-std::size_t KvServer::PumpNetdev(std::uint16_t queue) {
+uknetdev::NetBuf* KvServer::AnswerFrame(std::uint16_t queue, uknetdev::NetBuf* nb) {
   using namespace uknet;
+  // Parse Ethernet/IP/UDP by hand (zero-copy views into the netbuf).
+  const std::uint8_t* raw = nb->Bytes(*mem_);
+  if (raw == nullptr || nb->len < kReplyHdrs) {
+    return nullptr;
+  }
+  std::span<const std::uint8_t> frame(raw, nb->len);
+  EthHeader eth = EthHeader::Parse(frame);
+  auto ip = Ip4Header::Parse(frame.subspan(kEthHdrBytes));
+  if (!ip.has_value() || ip->proto != kIpProtoUdp) {
+    return nullptr;
+  }
+  // Slice at the parsed header length so IP options never read as UDP.
+  auto body = frame.subspan(kEthHdrBytes + ip->header_len,
+                            ip->total_len - ip->header_len);
+  auto udp = UdpHeader::Parse(body, ip->src, ip->dst, false);
+  if (!udp.has_value() || udp->dst_port != port_) {
+    return nullptr;
+  }
+  auto request = body.subspan(kUdpHdrBytes, udp->length - kUdpHdrBytes);
+  // Reply addressing snapshot: if the request defers to a foreign shard, the
+  // RX buffer goes back to its pool before the reply exists.
+  const ReplyTo to{eth.src, ip->src, udp->src_port};
+  // Opcode snapshot: an in-place reply overwrites the request.
+  const bool probe = !request.empty() && request[0] == 'P';
+  // The reply buffer. Specialized uknetdev (§6.4): the received netbuf
+  // itself — headers rewritten around the reply, the same buffer handed back
+  // to TxBurst, zero copies and zero allocations. kDpdkStyle: a fresh TX-pool
+  // mbuf per packet plus the copy into it, the framework overhead that makes
+  // the DPDK rows differ from raw uknetdev.
+  uknetdev::NetBuf* out = mode_ == KvMode::kDpdkStyle ? tx_pools_[queue]->Alloc() : nb;
+  if (out == nullptr) {
+    return nullptr;
+  }
+  const std::uint32_t cap = out->capacity - out->headroom;
+  std::uint8_t* reply = reinterpret_cast<std::uint8_t*>(mem_->At(out->data_gpa(), cap));
+  const std::size_t reply_len =
+      reply != nullptr
+          ? HandleInto(queue, request, reply + kReplyHdrs, cap - kReplyHdrs, &to)
+          : 0;
+  if (reply_len == 0) {
+    if (out != nb) {
+      out->pool->Free(out);
+    }
+    return nullptr;
+  }
+  out->len = static_cast<std::uint32_t>(FrameReply(reply, to, reply_len));
+  loops_.At(queue).Add(probe ? &Stats::probe_requests : &Stats::requests);
+  return out;
+}
+
+std::size_t KvServer::PumpNetdev(std::uint16_t queue) {
   uknetdev::NetBuf* pkts[kBatch];
   std::uint16_t cnt = kBatch;
   dev_->RxBurst(queue, pkts, &cnt);
   if (cnt == 0) {
     return 0;
   }
-  const bool dpdk_style = mode_ == KvMode::kDpdkStyle;
   uknetdev::NetBuf* replies[kBatch];
   std::uint16_t nreplies = 0;
   for (std::uint16_t i = 0; i < cnt; ++i) {
-    uknetdev::NetBuf* nb = pkts[i];
-    std::uint8_t* raw = nb->Bytes(*mem_);
-    std::span<const std::uint8_t> frame(raw, nb->len);
-    // Parse Ethernet/IP/UDP by hand (zero-copy views into the netbuf).
-    bool replied = false;
-    if (raw != nullptr &&
-        frame.size() >= kEthHdrBytes + kIp4HdrBytes + kUdpHdrBytes) {
-      EthHeader eth = EthHeader::Parse(frame);
-      auto ip = Ip4Header::Parse(frame.subspan(kEthHdrBytes));
-      if (ip.has_value() && ip->proto == kIpProtoUdp) {
-        // Slice at the parsed header length so IP options never read as UDP.
-        auto body = frame.subspan(kEthHdrBytes + ip->header_len,
-                                  ip->total_len - ip->header_len);
-        auto udp = UdpHeader::Parse(body, ip->src, ip->dst, false);
-        if (udp.has_value() && udp->dst_port == port_) {
-          auto request = body.subspan(kUdpHdrBytes, udp->length - kUdpHdrBytes);
-          constexpr std::size_t kHdrs = kEthHdrBytes + kIp4HdrBytes + kUdpHdrBytes;
-          // Reply addressing snapshot: if the request defers to a foreign
-          // shard, the RX buffer goes back to its pool before the reply exists.
-          const ReplyTo rt{eth.src, ip->src, udp->src_port};
-          bool deferred = false;
-          // Opcode snapshot: the in-place reply below overwrites the request.
-          const bool probe = !request.empty() && request[0] == 'P';
-          if (dpdk_style) {
-            // DPDK-framework path: per-packet mbuf churn through the TX pool
-            // plus the copy into the fresh mbuf — the framework overhead that
-            // makes the kDpdkStyle rows differ from raw uknetdev.
-            uknetdev::NetBuf* out = tx_pools_[queue]->Alloc();
-            if (out != nullptr) {
-              std::uint32_t cap = out->capacity - out->headroom;
-              std::uint8_t* odata =
-                  reinterpret_cast<std::uint8_t*>(mem_->At(out->data_gpa(), cap));
-              std::size_t reply_len =
-                  odata != nullptr
-                      ? HandleInto(queue, request, odata + kHdrs, cap - kHdrs,
-                                   &rt, &deferred)
-                      : 0;
-              if (reply_len > 0) {
-                std::size_t total = kHdrs + reply_len;
-                EthHeader oeth{eth.src, dev_->mac(), kEthTypeIp4};
-                oeth.Serialize(odata);
-                Ip4Header oip;
-                oip.total_len = static_cast<std::uint16_t>(total - kEthHdrBytes);
-                oip.id = ip_id_++;
-                oip.proto = kIpProtoUdp;
-                oip.src = ip_;
-                oip.dst = ip->src;
-                oip.Serialize(odata + kEthHdrBytes);
-                UdpHeader oudp;
-                oudp.src_port = port_;
-                oudp.dst_port = udp->src_port;
-                oudp.Serialize(odata + kEthHdrBytes + kIp4HdrBytes, ip_, ip->src,
-                               std::span(odata + kHdrs, reply_len));
-                out->len = static_cast<std::uint32_t>(total);
-                replies[nreplies++] = out;
-                loops_.At(queue).Add(probe ? &Stats::probe_requests
-                                           : &Stats::requests);
-                replied = true;
-              } else {
-                tx_pools_[queue]->Free(out);
-              }
-            }
-          } else {
-            // Specialized uknetdev path (§6.4): the reply is written in place
-            // in the received buffer — headers rewritten around it, the same
-            // netbuf handed straight back to TxBurst. Zero copies, zero
-            // allocations, no buffer churn.
-            std::uint32_t cap = nb->capacity - nb->headroom;
-            std::uint8_t* payload_at = raw + kHdrs;
-            std::size_t reply_len =
-                HandleInto(queue, request, payload_at, cap - kHdrs, &rt,
-                           &deferred);
-            if (reply_len > 0) {
-              std::size_t total = kHdrs + reply_len;
-              EthHeader oeth{eth.src, dev_->mac(), kEthTypeIp4};
-              oeth.Serialize(raw);
-              Ip4Header oip;
-              oip.total_len = static_cast<std::uint16_t>(total - kEthHdrBytes);
-              oip.id = ip_id_++;
-              oip.proto = kIpProtoUdp;
-              oip.src = ip_;
-              oip.dst = ip->src;
-              oip.Serialize(raw + kEthHdrBytes);
-              UdpHeader oudp;
-              oudp.src_port = port_;
-              oudp.dst_port = udp->src_port;
-              oudp.Serialize(raw + kEthHdrBytes + kIp4HdrBytes, ip_, ip->src,
-                             std::span(payload_at, reply_len));
-              nb->len = static_cast<std::uint32_t>(total);
-              replies[nreplies++] = nb;  // ownership rides to TxBurst
-              loops_.At(queue).Add(probe ? &Stats::probe_requests
-                                         : &Stats::requests);
-              replied = true;
-              continue;  // do not free: the RX buffer is the TX buffer now
-            }
-          }
-        }
-      }
+    uknetdev::NetBuf* out = AnswerFrame(queue, pkts[i]);
+    // The RX buffer is freed unless it carries its own in-place reply, whose
+    // ownership rides to TxBurst.
+    if (out != pkts[i]) {
+      pkts[i]->pool->Free(pkts[i]);
     }
-    (void)replied;
-    nb->pool->Free(nb);
+    if (out != nullptr) {
+      replies[nreplies++] = out;
+    }
   }
   if (nreplies > 0) {
     // Replies burst on the queue the requests arrived on: flow affinity all
     // the way down, no cross-queue hand-off.
-    std::uint16_t sent = nreplies;
-    dev_->TxBurst(queue, replies, &sent);
-    for (std::uint16_t i = sent; i < nreplies; ++i) {
-      if (replies[i]->pool != nullptr) {
-        replies[i]->pool->Free(replies[i]);  // unsent buffers return to the pool
-      }
-    }
+    TxReplies(queue, replies, nreplies);
   }
   return cnt;
 }
@@ -890,44 +791,30 @@ std::size_t KvServer::PumpSocket(std::uint64_t timeout_cycles) {
 }
 
 std::size_t KvServer::PumpQueue(std::uint16_t queue) {
-  switch (mode_) {
-    case KvMode::kSocketSingle:
-    case KvMode::kSocketBatch:
-      return queue == 0 ? PumpSocket(0) : 0;
-    case KvMode::kUkNetdev:
-    case KvMode::kDpdkStyle: {
-      if (queue >= queues_) {
-        return 0;
-      }
-      // Ring work counts as progress: a drained message keeps the loop from
-      // sleeping while a response (or a foreign request) is in flight.
-      const std::size_t handled = PumpNetdev(queue) + DrainRings(queue);
-      if (persist_ != nullptr) {
-        // Per-queue turn end: this loop's AOF shard writes out exactly once
-        // per pump, whatever the batch size was.
-        persist_->FlushShard(queue);
-      }
-      return handled;
-    }
+  if (SocketMode()) {
+    return queue == 0 ? PumpSocket(0) : 0;
   }
-  return 0;
+  if (queue >= queues_) {
+    return 0;
+  }
+  // Ring work counts as progress: a drained message keeps the loop from
+  // sleeping while a response (or a foreign request) is in flight.
+  const std::size_t handled = PumpNetdev(queue) + DrainRings(queue);
+  if (persist_ != nullptr) {
+    // Per-queue turn end: this loop's AOF shard writes out exactly once per
+    // pump, whatever the batch size was.
+    persist_->FlushShard(queue);
+  }
+  return handled;
 }
 
 std::size_t KvServer::PumpOnce() {
-  switch (mode_) {
-    case KvMode::kSocketSingle:
-    case KvMode::kSocketBatch:
-      return PumpSocket(0);
-    case KvMode::kUkNetdev:
-    case KvMode::kDpdkStyle: {
-      std::size_t handled = 0;
-      for (std::uint16_t q = 0; q < queues_; ++q) {
-        handled += PumpQueue(q);
-      }
-      return handled;
-    }
+  // Socket modes run one queue, so this is one event-loop turn for them.
+  std::size_t handled = 0;
+  for (std::uint16_t q = 0; q < queues_; ++q) {
+    handled += PumpQueue(q);
   }
-  return 0;
+  return handled;
 }
 
 }  // namespace apps

@@ -2,12 +2,19 @@
 //
 // One server, four data paths, exactly the ladder the paper climbs:
 //   kSocketSingle  — recvfrom/sendto, one syscall per packet;
-//   kSocketBatch   — recvmmsg/sendmmsg, one syscall per 32-packet batch;
+//   kSocketBatch   — recvmmsg/sendmmsg, one syscall per 32-packet batch
+//                    (one sendmmsg per run of same-source datagrams);
 //   kUkNetdev      — no stack, no scheduler: poll-mode uknetdev bursts with
-//                    hand-parsed Ethernet/IP/UDP (the paper's specialized
-//                    unikernel that matches DPDK with one core);
-//   kDpdkStyle     — same poll-mode path plus the DPDK framework's per-burst
-//                    bookkeeping (mbuf pool churn), for the guest-DPDK rows.
+//                    hand-parsed Ethernet/IP/UDP, each reply written in place
+//                    in its RX netbuf (the paper's specialized unikernel that
+//                    matches DPDK with one core);
+//   kDpdkStyle     — the same netdev path with one difference: each reply is
+//                    written into a fresh TX-pool buffer (the DPDK framework's
+//                    per-packet mbuf churn plus a copy), for the guest-DPDK
+//                    rows.
+// Both netdev modes share one request path: parse, execute against the
+// queue's shard (or defer foreign keys to their owners over SPSC rings), and
+// frame the Ethernet/IP/UDP reply in one place.
 #ifndef APPS_KVSTORE_H_
 #define APPS_KVSTORE_H_
 
@@ -33,7 +40,6 @@
 namespace apps {
 
 enum class KvMode { kSocketSingle, kSocketBatch, kUkNetdev, kDpdkStyle };
-const char* KvModeName(KvMode mode);
 
 // Wire format: 'G'/'S' + u16 key [+ u16 value len + bytes]. Reply: value or 'E'.
 // Multi-get: 'M' + u8 n + n*u16 keys; reply 'V' + u8 n + n*(u16 len + bytes),
@@ -108,7 +114,6 @@ class KvServer {
     return stats(queue).requests;
   }
   std::uint16_t queue_count() const { return queues_; }
-  KvMode mode() const { return mode_; }
 
   // ---- shared-nothing sharding (§6 SMP scale-out) --------------------------
   // The store is split into one shard per queue, keyed by the same Toeplitz
@@ -143,16 +148,12 @@ class KvServer {
   void AttachPersist(Persist* persist);
   // Replays snapshot + AOF into the (empty) shards. Call before traffic.
   Persist::RecoverStats RecoverFromPersist();
-  Persist* persist() { return persist_; }
 
   static constexpr std::size_t kMaxMultiKeys = 8;
   static constexpr std::size_t kMaxInlineValue = 64;  // ring-slot value cap
   // Pool introspection for zero-alloc assertions (netdev modes).
   const uknetdev::NetBufPool* tx_pool(std::uint16_t queue = 0) const {
     return queue < tx_pools_.size() ? tx_pools_[queue].get() : nullptr;
-  }
-  const uknetdev::NetBufPool* rx_pool(std::uint16_t queue = 0) const {
-    return queue < rx_pools_.size() ? rx_pools_[queue].get() : nullptr;
   }
 
  private:
@@ -172,22 +173,26 @@ class KvServer {
   };
   using ShardRing = uksched::SpscRing<ShardMsg, 64>;
 
-  // A request whose reply waits on foreign shards: reply addressing is
-  // snapshotted (the RX buffer goes back to its pool), local keys resolve
-  // immediately, and each kResp fills one slot until none remain.
+  // Where a reply goes: the requester's MAC, IP and UDP port.
+  struct ReplyTo {
+    uknetdev::MacAddr mac{};
+    uknet::Ip4Addr ip = 0;
+    std::uint16_t port = 0;
+  };
+  // A multi-get, or a single-key GET/SET on a foreign shard. Local keys
+  // resolve at once; the op waits, with its reply addressing snapshotted (the
+  // RX buffer goes back to its pool), until each kResp has filled its slot.
   struct PendingOp {
     std::uint32_t id = 0;
     char op = 'G';  // 'G' single get, 'S' single set, 'M' multi-get
     std::uint16_t queue = 0;  // arrival queue: the reply bursts from here
-    uknetdev::MacAddr dst_mac{};
-    uknet::Ip4Addr dst_ip = 0;
-    std::uint16_t dst_port = 0;
+    ReplyTo reply_to;
     std::uint8_t nkeys = 0;
     std::uint8_t remaining = 0;  // outstanding ring responses
     struct Slot {
       std::uint16_t key = 0;
       bool found = false;
-      std::uint8_t vlen = 0;
+      std::uint8_t vlen = 0;  // a foreign SET's slot carries its value out
       std::uint8_t val[kMaxInlineValue] = {};
     };
     std::array<Slot, kMaxMultiKeys> slots{};
@@ -198,22 +203,40 @@ class KvServer {
   // One event-loop turn over the server fd (socket modes): blocks up to
   // |timeout_cycles| in EpollWait, returns requests answered.
   std::size_t PumpSocket(std::uint64_t timeout_cycles);
+  bool SocketMode() const {
+    return mode_ == KvMode::kSocketSingle || mode_ == KvMode::kSocketBatch;
+  }
   std::size_t PumpNetdev(std::uint16_t queue);
+  // Parses one received frame and answers it into the mode's reply buffer:
+  // |nb| itself (kUkNetdev) or a fresh TX-pool buffer (kDpdkStyle). Returns
+  // the framed reply buffer, or null when nothing is sent now. |nb| stays the
+  // caller's to free unless it is the buffer returned.
+  uknetdev::NetBuf* AnswerFrame(std::uint16_t queue, uknetdev::NetBuf* nb);
   // Executes one request against |queue|'s shard and writes the reply bytes
   // straight into |out| (usually the wire buffer itself). Returns reply
-  // length, 0 when |cap| is too small. Never allocates on the shard-local
-  // path. A request touching foreign shards returns len 0 with |*deferred|
-  // set: a PendingOp was parked and ring messages are in flight (|reply_to|
-  // supplies the snapshot; null |reply_to| — socket modes — forces every key
-  // local, which holds by construction when queues_ == 1).
-  struct ReplyTo {
-    uknetdev::MacAddr mac{};
-    uknet::Ip4Addr ip = 0;
-    std::uint16_t port = 0;
-  };
+  // length, 0 when |cap| is too small or when the request was deferred: a
+  // request touching foreign shards parks a PendingOp (addressed to
+  // |reply_to|) and its ring messages go out. Never allocates on the
+  // shard-local path. A null |reply_to| (socket modes) forces every key
+  // local, which holds by construction when queues_ == 1.
   std::size_t HandleInto(std::uint16_t queue, std::span<const std::uint8_t> payload,
-                         std::uint8_t* out, std::size_t cap,
-                         const ReplyTo* reply_to, bool* deferred);
+                         std::uint8_t* out, std::size_t cap, const ReplyTo* reply_to);
+  // Parks |op| and rings one kGet (kSet for a SET) per foreign key to its
+  // owner.
+  void Defer(const PendingOp& op);
+  // Writes the reply of a fully resolved op into |out|: the value or 'E'
+  // ('G'), 'K' ('S'), or 'V' n + n * (u16 len + bytes) ('M'). Returns its
+  // length.
+  static std::size_t EncodeReply(const PendingOp& op, std::uint8_t* out);
+  // Writes the Ethernet/IP/UDP headers to |to| at |frame|, around the
+  // |reply_len| payload bytes already in place after them. Returns the frame
+  // length. The one reply framer of both netdev modes.
+  std::size_t FrameReply(std::uint8_t* frame, const ReplyTo& to,
+                         std::size_t reply_len) const;
+  // Bursts |n| reply buffers on |queue| and frees the ones the device did not
+  // take. Returns how many were sent.
+  std::uint16_t TxReplies(std::uint16_t queue, uknetdev::NetBuf** bufs,
+                          std::uint16_t n);
   // Shard access helpers: the ONLY paths that touch shards_, so the
   // (accessor, shard) audit counters see every access.
   std::string* StoreFind(std::uint16_t accessor, std::uint16_t shard,
@@ -267,7 +290,6 @@ class KvServer {
   // Audit counters, accessor-major [q][shard]. Atomic so a reader summing the
   // matrix never races the loops bumping their diagonal.
   std::vector<std::atomic<std::uint64_t>> shard_accesses_;
-  std::uint16_t ip_id_ = 1;
 
   // Cross-shard transport: queues_^2 SPSC rings (from-major), per-pair
   // overflow outboxes, per-queue pending ops and doorbell sequences.

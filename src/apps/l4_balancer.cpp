@@ -42,19 +42,6 @@ int L4Balancer::AddBackend(BackendConfig backend) {
   return static_cast<int>(backends_.size()) - 1;
 }
 
-void L4Balancer::SetBackend(int slot, BackendConfig backend) {
-  Backend& b = backends_[static_cast<std::size_t>(slot)];
-  if (b.probe_fd >= 0) {
-    // A probe to the old address can only produce a stale verdict.
-    loop_.Del(b.probe_fd);
-    api_->Close(b.probe_fd);
-    b.probe_fd = -1;
-  }
-  b.config = backend;
-  b.state = BackendState::kUp;
-  b.next_probe_at = clock_->cycles();  // verify the newcomer promptly
-}
-
 void L4Balancer::MarkDown(int slot) {
   Backend& b = backends_[static_cast<std::size_t>(slot)];
   if (b.state == BackendState::kDown) {
@@ -76,10 +63,6 @@ void L4Balancer::MarkDown(int slot) {
   }
 }
 
-void L4Balancer::MarkUp(int slot) {
-  backends_[static_cast<std::size_t>(slot)].state = BackendState::kUp;
-}
-
 void L4Balancer::SetDrain(int slot, bool drain) {
   Backend& b = backends_[static_cast<std::size_t>(slot)];
   if (drain && b.state == BackendState::kUp) {
@@ -87,14 +70,6 @@ void L4Balancer::SetDrain(int slot, bool drain) {
   } else if (!drain && b.state == BackendState::kDraining) {
     b.state = BackendState::kUp;
   }
-}
-
-std::size_t L4Balancer::slot_flows(int slot) const {
-  std::size_t n = 0;
-  for (const auto& [ufd, up] : upstreams_) {
-    n += up.slot == slot ? 1 : 0;
-  }
-  return n;
 }
 
 bool L4Balancer::Start() { return server_.Listen(config_.vip_port); }

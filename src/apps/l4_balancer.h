@@ -76,20 +76,12 @@ class L4Balancer {
   // Adds a steering slot; returns its index. Call before Start().
   int AddBackend(BackendConfig backend);
 
-  // Replaces a slot's address (respawned instance) and marks it up again.
-  // Existing flows to the old address were already torn down by MarkDown.
-  void SetBackend(int slot, BackendConfig backend);
-
   // Administrative state flips. MarkDown closes every proxied flow on the
   // slot (a dead backend never answers them); drain just stops new flows.
   void MarkDown(int slot);
-  void MarkUp(int slot);
   void SetDrain(int slot, bool drain);
 
   BackendState state(int slot) const { return backends_[slot].state; }
-  std::size_t backend_count() const { return backends_.size(); }
-  // Flows currently proxied through |slot|.
-  std::size_t slot_flows(int slot) const;
 
   // Listens on vip_port and registers with the loop. False on failure.
   bool Start();
@@ -102,7 +94,6 @@ class L4Balancer {
   // Exposed so tests can predict and assert placement.
   int SteerSlot(uknet::Ip4Addr ip, std::uint16_t port) const;
 
-  std::size_t active_flows() const { return upstreams_.size(); }
   const Stats& stats() const { return stats_; }
   EventLoop& loop() { return loop_; }
   StreamServer& stream() { return server_; }

@@ -39,8 +39,6 @@ class Database {
 
   SqlResult Execute(std::string_view sql);
 
-  std::size_t table_count() const { return tables_.size(); }
-
  private:
   struct Column {
     std::string name;

@@ -112,7 +112,6 @@ class StreamServer {
   std::size_t connections() const { return conns_.size(); }
   std::uint64_t accepted() const { return accepted_; }
   std::uint64_t probe_conns() const { return probe_conns_; }
-  int listen_fd() const { return listen_fd_; }
   EventLoop* loop() { return loop_; }
 
  private:

@@ -104,8 +104,6 @@ class FleetTestBed {
   // balancer's probe timeout must detect.
   void KillBackend(int i);
 
-  bool backend_alive(int i) const { return backends_[i]->alive; }
-
   // One non-blocking turn of every live component: client stack, balancer
   // (loop + probe timers), every live backend (stack + server loop).
   void PumpAll();
@@ -120,7 +118,6 @@ class FleetTestBed {
   apps::L4Balancer& balancer() { return *balancer_; }
   posix::PosixApi& balancer_api() { return *balancer_api_; }
   BackendHost& backend(int i) { return *backends_[i]; }
-  int backend_count() const { return static_cast<int>(backends_.size()); }
   const Config& config() const { return config_; }
 
   // Modeled CPU cost of one PumpAll() turn; keeps the virtual clock moving

@@ -65,7 +65,6 @@ TestBed::TestBed(Profile profile) : profile_(std::move(profile)) {
                                            profile_.dispatch);
 }
 
-void TestBed::ChargeRequestOverhead() { clock_.Charge(profile_.per_request_overhead); }
 
 void TestBed::ChargeHostNetPath(std::size_t packets) {
   if (!profile_.virtualized) {

@@ -40,9 +40,6 @@ class TestBed {
  public:
   explicit TestBed(Profile profile);
 
-  // Per-request cost the server pays beyond the real work: applied by the
-  // benchmark loop once per request processed.
-  void ChargeRequestOverhead();
   // Per-packet path cost differences for non-virtualized profiles are charged
   // by the NIC backend already (virtio); native/container profiles instead
   // charge the host kernel path per packet here.

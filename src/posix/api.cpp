@@ -577,12 +577,6 @@ std::int64_t PosixApi::Pread(int fd, std::uint64_t off, std::span<std::byte> out
                                 out.size(), off});
 }
 
-std::int64_t PosixApi::Pwrite(int fd, std::uint64_t off, std::span<const std::byte> in) {
-  return shim_.Call(SyscallNumber("pwrite64"),
-                    SyscallArgs{static_cast<std::uint64_t>(fd), Ptr(in.data()),
-                                in.size(), off});
-}
-
 std::int64_t PosixApi::Lseek(int fd, std::int64_t off, int whence) {
   return shim_.Call(SyscallNumber("lseek"),
                     SyscallArgs{static_cast<std::uint64_t>(fd),

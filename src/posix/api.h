@@ -79,7 +79,6 @@ class PosixApi {
   std::int64_t Read(int fd, std::span<std::byte> out);
   std::int64_t Write(int fd, std::span<const std::byte> in);
   std::int64_t Pread(int fd, std::uint64_t off, std::span<std::byte> out);
-  std::int64_t Pwrite(int fd, std::uint64_t off, std::span<const std::byte> in);
   std::int64_t Lseek(int fd, std::int64_t off, int whence);  // 0 SET 1 CUR 2 END
   int Close(int fd);
   int Stat(std::string_view path, vfscore::NodeStat* out);

@@ -162,7 +162,6 @@ void FdTable::OnSocketEvent(std::uint64_t token, uknet::EventMask events) {
   // packet); release pairs with the owner's acquire exchange in TakeEdges.
   edges_[static_cast<std::size_t>(token)].fetch_or(events,
                                                    std::memory_order_release);
-  edges_delivered_.fetch_add(1, std::memory_order_relaxed);
 }
 
 uknet::SocketEventSource* FdTable::EventSourceOf(int fd) const {

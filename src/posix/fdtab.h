@@ -141,9 +141,6 @@ class FdTable : public uknet::SocketEventSink {
                ? gens_[static_cast<std::size_t>(fd)]
                : 0;
   }
-  std::uint64_t edges_delivered() const {
-    return edges_delivered_.load(std::memory_order_relaxed);
-  }
 
   // uknet::SocketEventSink: |token| is the watched fd.
   void OnSocketEvent(std::uint64_t token, uknet::EventMask events) override;
@@ -163,7 +160,6 @@ class FdTable : public uknet::SocketEventSink {
   std::vector<std::atomic<uknet::EventMask>> edges_;  // accumulated edges
   std::vector<std::uint32_t> gens_;  // slot generation (fd-reuse guard)
   std::vector<std::atomic<std::uint8_t>> watched_;  // live readiness watch
-  std::atomic<std::uint64_t> edges_delivered_{0};
 };
 
 }  // namespace posix

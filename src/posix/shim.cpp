@@ -4,17 +4,6 @@
 
 namespace posix {
 
-const char* DispatchModeName(DispatchMode m) {
-  switch (m) {
-    case DispatchMode::kDirectCall: return "direct-call";
-    case DispatchMode::kShimTable: return "shim-table";
-    case DispatchMode::kBinaryCompat: return "binary-compat";
-    case DispatchMode::kLinuxTrap: return "linux-trap";
-    case DispatchMode::kLinuxTrapFast: return "linux-trap-nomitig";
-  }
-  return "?";
-}
-
 std::uint64_t SyscallShim::EntryCost(DispatchMode mode, const ukplat::CostModel& model) {
   switch (mode) {
     case DispatchMode::kDirectCall: return model.function_call;

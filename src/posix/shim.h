@@ -36,7 +36,6 @@ enum class DispatchMode {
   kLinuxTrap,
   kLinuxTrapFast,
 };
-const char* DispatchModeName(DispatchMode m);
 
 struct SyscallArgs {
   std::uint64_t a0 = 0, a1 = 0, a2 = 0, a3 = 0, a4 = 0, a5 = 0;
@@ -61,7 +60,6 @@ class SyscallShim {
   std::int64_t Call(int nr, const SyscallArgs& args = SyscallArgs{});
 
   DispatchMode mode() const { return mode_; }
-  void set_mode(DispatchMode mode) { mode_ = mode; }
 
   std::uint64_t calls() const { return calls_; }
   std::uint64_t enosys_calls() const { return enosys_; }

@@ -138,13 +138,4 @@ const std::set<int>& SupportedSyscalls() {
   return kSupported;
 }
 
-std::vector<int> AllSyscallNumbers() {
-  std::vector<int> v;
-  v.reserve(kMaxSyscallNr + 1);
-  for (int i = 0; i <= kMaxSyscallNr; ++i) {
-    v.push_back(i);
-  }
-  return v;
-}
-
 }  // namespace posix

@@ -25,8 +25,6 @@ int SyscallNumber(std::string_view name);
 // The 146 syscalls the simulated Unikraft implements or stubs meaningfully.
 const std::set<int>& SupportedSyscalls();
 
-// Convenience: all valid numbers in [0, kMaxSyscallNr].
-std::vector<int> AllSyscallNumbers();
 
 }  // namespace posix
 

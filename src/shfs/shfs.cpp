@@ -33,7 +33,6 @@ std::optional<FileHandle> Shfs::Open(std::string_view name) const {
   std::uint64_t hash = ukarch::Fnv1a64(name);
   std::int32_t idx = buckets_[hash % buckets_.size()];
   while (idx >= 0) {
-    ++probes_;
     const Entry& e = entries_[static_cast<std::size_t>(idx)];
     if (e.hash == hash && e.name == name) {
       return FileHandle{

@@ -57,8 +57,6 @@ class Shfs {
 
   std::size_t file_count() const { return entries_.size(); }
   std::size_t bucket_count() const { return buckets_.size(); }
-  // Probes performed across all Opens (collision-chain hops; Fig 22 sanity).
-  std::uint64_t probe_count() const { return probes_; }
 
   // Largest collision chain, for the hash-quality tests.
   std::size_t MaxChainLength() const;
@@ -76,7 +74,6 @@ class Shfs {
   std::vector<std::int32_t> buckets_;  // head entry index or -1
   std::vector<Entry> entries_;
   std::vector<std::uint8_t> volume_;
-  mutable std::uint64_t probes_ = 0;
 };
 
 // Adapter mounting an SHFS volume read-only through vfscore, so Fig 22 can

@@ -140,33 +140,4 @@ std::optional<Header> ParseHeader(std::span<const std::uint8_t> msg) {
   return h;
 }
 
-const char* MsgTypeName(MsgType t) {
-  switch (t) {
-    case MsgType::kTversion: return "Tversion";
-    case MsgType::kRversion: return "Rversion";
-    case MsgType::kTattach: return "Tattach";
-    case MsgType::kRattach: return "Rattach";
-    case MsgType::kRerror: return "Rerror";
-    case MsgType::kTwalk: return "Twalk";
-    case MsgType::kRwalk: return "Rwalk";
-    case MsgType::kTopen: return "Topen";
-    case MsgType::kRopen: return "Ropen";
-    case MsgType::kTcreate: return "Tcreate";
-    case MsgType::kRcreate: return "Rcreate";
-    case MsgType::kTread: return "Tread";
-    case MsgType::kRread: return "Rread";
-    case MsgType::kTwrite: return "Twrite";
-    case MsgType::kRwrite: return "Rwrite";
-    case MsgType::kTclunk: return "Tclunk";
-    case MsgType::kRclunk: return "Rclunk";
-    case MsgType::kTremove: return "Tremove";
-    case MsgType::kRremove: return "Rremove";
-    case MsgType::kTstat: return "Tstat";
-    case MsgType::kRstat: return "Rstat";
-    case MsgType::kTwstat: return "Twstat";
-    case MsgType::kRwstat: return "Rwstat";
-  }
-  return "?";
-}
-
 }  // namespace uk9p

@@ -119,8 +119,6 @@ struct Header {
 };
 std::optional<Header> ParseHeader(std::span<const std::uint8_t> msg);
 
-const char* MsgTypeName(MsgType t);
-
 // Payload view of a complete message (skips the 7-byte header).
 inline std::span<const std::uint8_t> Payload(std::span<const std::uint8_t> msg) {
   return msg.size() >= 7 ? msg.subspan(7) : std::span<const std::uint8_t>();

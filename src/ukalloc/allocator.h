@@ -52,7 +52,6 @@ class Allocator {
   std::size_t UsableSize(void* ptr) const;
 
   const AllocStats& stats() const { return stats_; }
-  std::byte* heap_base() const { return base_; }
   std::size_t heap_len() const { return len_; }
 
   bool Owns(const void* p) const {

@@ -2,19 +2,6 @@
 
 namespace ukbuild {
 
-const char* LibClassName(LibClass c) {
-  switch (c) {
-    case LibClass::kPlat: return "plat";
-    case LibClass::kApi: return "api";
-    case LibClass::kDriver: return "driver";
-    case LibClass::kOsPrim: return "os";
-    case LibClass::kLibc: return "libc";
-    case LibClass::kExternal: return "external";
-    case LibClass::kApp: return "app";
-  }
-  return "?";
-}
-
 std::uint32_t MicroLib::TotalBytes() const {
   std::uint32_t total = 0;
   for (const ObjectFile& o : objects) {

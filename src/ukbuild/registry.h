@@ -20,7 +20,6 @@
 namespace ukbuild {
 
 enum class LibClass { kPlat, kApi, kDriver, kOsPrim, kLibc, kExternal, kApp };
-const char* LibClassName(LibClass c);
 
 struct ObjectFile {
   std::string name;

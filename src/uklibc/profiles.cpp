@@ -85,27 +85,4 @@ bool LibcProfile::Provides(std::string_view symbol) const {
   return false;
 }
 
-std::set<std::string> LibcProfile::AllSymbols() const {
-  std::set<std::string> out;
-  for (SymbolGroup g : {SymbolGroup::kCore, SymbolGroup::kPosix, SymbolGroup::kPosixWide,
-                        SymbolGroup::kGlibcChk, SymbolGroup::kGlibc64,
-                        SymbolGroup::kGlibcMisc}) {
-    if (!GroupProvided(*this, g)) {
-      continue;
-    }
-    for (const std::string& s : SymbolsInGroup(g)) {
-      out.insert(s);
-    }
-  }
-  return out;
-}
-
-std::string LibcProfile::DisplayName() const {
-  std::string name = LibcName(libc);
-  if (glibc_compat_layer) {
-    name += "+compat";
-  }
-  return name;
-}
-
 }  // namespace uklibc

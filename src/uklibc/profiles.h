@@ -8,7 +8,6 @@
 #ifndef UKLIBC_PROFILES_H_
 #define UKLIBC_PROFILES_H_
 
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,10 +36,6 @@ struct LibcProfile {
 
   // True if |symbol| resolves in this environment.
   bool Provides(std::string_view symbol) const;
-  // All symbols this environment exports.
-  std::set<std::string> AllSymbols() const;
-
-  std::string DisplayName() const;
 };
 
 }  // namespace uklibc

@@ -350,7 +350,6 @@ enum class TcpState {
   kClosed, kListen, kSynSent, kSynRcvd, kEstablished,
   kFinWait1, kFinWait2, kCloseWait, kLastAck, kClosing, kTimeWait,
 };
-const char* TcpStateName(TcpState s);
 
 // One queued TX segment: |nb| holds the payload bytes for [seq, seq+len) at
 // a recorded headroom. The retransmission queue owns one reference to |nb|
@@ -732,9 +731,6 @@ class NetStack {
   // landing on its own queue. Sockets without sinks never reach this path,
   // so pure frame-driven waiters keep their exact wakeup counts.
   void NotifySocketEvent();
-  std::uint64_t event_seq() const {
-    return event_seq_.load(std::memory_order_acquire);
-  }
 
   // Per-queue doorbell for non-frame work (SPSC ring messages, steered fds):
   // bumps |queue|'s soft-event sequence and wakes exactly ONE sleeper of that
@@ -746,9 +742,6 @@ class NetStack {
   // returns (possibly with 0 frames) when the sequence advanced across its
   // sleep so its caller can drain the ring.
   void RaiseQueueEvent(std::uint16_t queue);
-  std::uint64_t queue_event_seq(std::uint16_t queue) const {
-    return queue_event_seq_[QueueSlot(queue)].load(std::memory_order_acquire);
-  }
 
   // TX-pool refill edge (NetBufPool::SetRefillCallback, registered per queue
   // by NetIf::Init): |netif|'s queue |queue| TX pool went dry under demand and

@@ -24,23 +24,6 @@
 
 namespace uknet {
 
-const char* TcpStateName(TcpState s) {
-  switch (s) {
-    case TcpState::kClosed: return "CLOSED";
-    case TcpState::kListen: return "LISTEN";
-    case TcpState::kSynSent: return "SYN_SENT";
-    case TcpState::kSynRcvd: return "SYN_RCVD";
-    case TcpState::kEstablished: return "ESTABLISHED";
-    case TcpState::kFinWait1: return "FIN_WAIT_1";
-    case TcpState::kFinWait2: return "FIN_WAIT_2";
-    case TcpState::kCloseWait: return "CLOSE_WAIT";
-    case TcpState::kLastAck: return "LAST_ACK";
-    case TcpState::kClosing: return "CLOSING";
-    case TcpState::kTimeWait: return "TIME_WAIT";
-  }
-  return "?";
-}
-
 TcpSocket::~TcpSocket() { ReleaseAllSegments(); }
 
 void TcpSocket::SetBufferCaps(std::size_t send_cap, std::size_t recv_cap) {

@@ -34,11 +34,6 @@ Ip4Addr MakeIp(std::uint8_t a, std::uint8_t b, std::uint8_t c, std::uint8_t d) {
          (static_cast<Ip4Addr>(c) << 8) | d;
 }
 
-std::string IpToString(Ip4Addr ip) {
-  return std::to_string(ip >> 24) + "." + std::to_string((ip >> 16) & 0xff) + "." +
-         std::to_string((ip >> 8) & 0xff) + "." + std::to_string(ip & 0xff);
-}
-
 std::uint16_t InternetChecksum(std::span<const std::uint8_t> data, std::uint32_t initial) {
   std::uint32_t sum = initial;
   std::size_t i = 0;

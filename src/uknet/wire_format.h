@@ -32,7 +32,6 @@ inline constexpr std::size_t kArpBytes = 28;
 
 // "a.b.c.d" helper for tests and examples.
 Ip4Addr MakeIp(std::uint8_t a, std::uint8_t b, std::uint8_t c, std::uint8_t d);
-std::string IpToString(Ip4Addr ip);
 
 // RFC 1071 Internet checksum over |data|, starting from |initial| (used to
 // fold in the pseudo-header for TCP/UDP).

@@ -75,7 +75,6 @@ void NetBufPool::Free(NetBuf* nb) {
   }
   nb->refcnt = 1;
   free_.push_back(nb);
-  total_frees_.fetch_add(1, std::memory_order_relaxed);
   // Dry-pool refill edge: the first buffer returning after a failed Alloc is
   // the TX "writability interrupt" — deliver it once per dry spell. The
   // relaxed pre-check keeps steady-state Free at one branch (no RMW); the

@@ -136,16 +136,10 @@ class NetBufPool {
   std::uint32_t available() const { return static_cast<std::uint32_t>(free_.size()); }
   std::uint32_t buf_size() const { return buf_size_; }
   std::uint32_t default_headroom() const { return default_headroom_; }
-  // Lifetime alloc/free counters: let tests and benches assert zero-alloc
-  // paths (e.g. retransmission re-bursts retained buffers without pool
-  // churn). Atomic because a buffer freed by a FOREIGN loop (cross-queue TX
-  // completion under the real-thread scheduler) bumps the free counter
-  // concurrently with the owner loop allocating.
+  // Lifetime alloc counter: lets tests and benches assert zero-alloc paths
+  // (e.g. retransmission re-bursts retained buffers without pool churn).
   std::uint64_t total_allocs() const {
     return total_allocs_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t total_frees() const {
-    return total_frees_.load(std::memory_order_relaxed);
   }
 
   // Pool-refill edge: fires from Free() when a pool that previously FAILED an
@@ -174,7 +168,6 @@ class NetBufPool {
   std::vector<NetBuf> bufs_;
   std::vector<NetBuf*> free_;
   std::atomic<std::uint64_t> total_allocs_{0};
-  std::atomic<std::uint64_t> total_frees_{0};
   // Set when Alloc() came up empty; cleared (exchange — single-fire even when
   // two foreign-loop Frees race the edge) when the refill edge fires.
   std::atomic<bool> starved_{false};

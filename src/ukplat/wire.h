@@ -77,8 +77,6 @@ class Wire {
   // the port starts from a clean slate.
   void ResetPort(int port);
 
-  std::size_t port_count() const { return ports_.size(); }
-
   std::uint64_t frames_sent() const { return frames_sent_; }
   std::uint64_t frames_dropped() const { return frames_dropped_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }

@@ -183,8 +183,6 @@ class Scheduler {
 
   Thread* current() const { return current_; }
   const Stats& stats() const { return stats_; }
-  std::size_t num_ready() const { return ready_.size(); }
-  std::size_t live_threads() const { return live_threads_; }
   ukplat::Clock* clock() const { return clock_; }
 
   static constexpr std::size_t kDefaultStackSize = 64 * 1024;

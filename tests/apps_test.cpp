@@ -474,23 +474,44 @@ TEST_F(KvTest, BatchModeUsesOneSyscallPerBatch) {
   EXPECT_LE(bed_.api().shim().calls() - calls_before, 3u);
 }
 
-TEST_F(KvTest, NetdevModeBypassesStackEntirely) {
-  // Server drives its own NIC on a dedicated world.
-  ukplat::Clock clock;
-  ukplat::Wire wire(&clock);
-  env::SimHost server_host(&clock, &wire, 0, uknet::MakeIp(10, 0, 0, 1),
-                           ukalloc::Backend::kTlsf,
-                           uknetdev::VirtioBackend::kVhostUser);
-  env::SimHost client_host(&clock, &wire, 1, uknet::MakeIp(10, 0, 0, 2),
-                           ukalloc::Backend::kTlsf,
-                           uknetdev::VirtioBackend::kVhostUser);
-  client_host.netif->AddArpEntry(uknet::MakeIp(10, 0, 0, 1), server_host.nic->mac());
+// Replies of one recvmmsg batch go back to each datagram's own sender.
+TEST_F(KvTest, BatchModeRepliesToEachSender) {
+  KvServer server(&bed_.api(), 7777, KvMode::kSocketBatch);
+  ASSERT_TRUE(server.Start());
+  auto a = bed_.client().stack->UdpOpen();
+  auto b = bed_.client().stack->UdpOpen();
+  // Sends one request from each socket, answers both in one batch, and
+  // returns every reply payload each socket got.
+  auto exchange = [&](const KvRequest& from_a, const KvRequest& from_b) {
+    a->SendTo(env::TestBed::kServerIp, 7777, EncodeKvRequest(from_a));
+    b->SendTo(env::TestBed::kServerIp, 7777, EncodeKvRequest(from_b));
+    for (int i = 0; i < 200; ++i) {
+      bed_.Poll();
+    }
+    EXPECT_EQ(server.PumpOnce(), 2u);
+    for (int i = 0; i < 200; ++i) {
+      bed_.Poll();
+    }
+    std::vector<std::string> got[2];
+    for (int s = 0; s < 2; ++s) {
+      while (auto r = (s == 0 ? a : b)->RecvFrom()) {
+        got[s].emplace_back(r->payload.begin(), r->payload.end());
+      }
+    }
+    return std::pair(got[0], got[1]);
+  };
+  auto [a_sets, b_sets] = exchange({true, 1, "from-a"}, {true, 2, "from-b"});
+  EXPECT_EQ(a_sets, std::vector<std::string>{"K"});
+  EXPECT_EQ(b_sets, std::vector<std::string>{"K"});
+  auto [a_gets, b_gets] = exchange({false, 2, ""}, {false, 1, ""});
+  EXPECT_EQ(a_gets, std::vector<std::string>{"from-b"});
+  EXPECT_EQ(b_gets, std::vector<std::string>{"from-a"});
+}
 
-  // The server host's stack must not own the NIC in this mode; build a
-  // dedicated KvServer NIC-owner instead. The SimHost already attached the
-  // stack, so take the raw device: its RX pool is the stack's. For the
-  // specialized path we use a second NIC-free server over the same device
-  // is not possible — so this test builds its own host pair manually.
+TEST_F(KvTest, NetdevModeBypassesStackEntirely) {
+  // The server owns a raw NIC with no stack attached; the client on the
+  // other wire side runs a full stack.
+  ukplat::Clock clock;
   ukplat::MemRegion mem(32 << 20);
   std::uint64_t heap_gpa = mem.Carve(24 << 20, 4096);
   auto alloc = ukalloc::CreateAllocator(ukalloc::Backend::kTlsf,
@@ -610,6 +631,66 @@ TEST_F(KvTest, NetdevModeShardsFlowsAcrossQueues) {
   EXPECT_EQ(server.shard_accesses(0, 1), 0u);
   EXPECT_EQ(server.shard_accesses(1, 0), 0u);
   EXPECT_EQ(server.ring_messages(), 0u);
+}
+
+// The DPDK row is the uknetdev path answered into a fresh TX-pool buffer per
+// packet: the same reply payloads, and every TX buffer it takes goes back.
+TEST_F(KvTest, DpdkModeRepliesLikeUkNetdevThroughFreshTxBuffers) {
+  struct Run {
+    std::vector<std::string> replies;
+    std::uint64_t tx_allocs = 0;
+    bool tx_pool_refilled = false;
+  };
+  auto run = [](KvMode mode) {
+    ukplat::Clock clock;
+    ukplat::MemRegion mem(32 << 20);
+    std::uint64_t heap_gpa = mem.Carve(24 << 20, 4096);
+    auto alloc = ukalloc::CreateAllocator(ukalloc::Backend::kTlsf,
+                                          mem.At(heap_gpa, 24 << 20), 24 << 20);
+    ukplat::Wire wire(&clock);
+    uknetdev::VirtioNet::Config nic_cfg;
+    nic_cfg.backend = uknetdev::VirtioBackend::kVhostUser;
+    nic_cfg.wire_side = 0;
+    uknetdev::VirtioNet nic(&mem, &clock, &wire, nic_cfg);
+    KvServer server(&nic, &mem, alloc.get(), uknet::MakeIp(10, 0, 0, 1), 7777, mode);
+    Run out;
+    if (!server.Start()) {
+      ADD_FAILURE() << "Start failed";
+      return out;
+    }
+    const uknetdev::NetBufPool* tx = server.tx_pool();
+    const std::uint32_t tx_available = tx->available();
+    const std::uint64_t tx_allocs = tx->total_allocs();
+
+    env::SimHost client_host(&clock, &wire, 1, uknet::MakeIp(10, 0, 0, 2),
+                             ukalloc::Backend::kTlsf, uknetdev::VirtioBackend::kVhostUser);
+    client_host.netif->AddArpEntry(uknet::MakeIp(10, 0, 0, 1), nic.mac());
+    auto client = client_host.stack->UdpOpen();
+    // SET, GET hit, GET miss: one at a time so the replies keep their order.
+    for (const KvRequest& req : {KvRequest{true, 9, "nine"}, KvRequest{false, 9, ""},
+                                 KvRequest{false, 10, ""}}) {
+      client->SendTo(uknet::MakeIp(10, 0, 0, 1), 7777, EncodeKvRequest(req));
+      for (int i = 0; i < 200; ++i) {
+        client_host.stack->Poll();
+        server.PumpOnce();
+      }
+    }
+    while (auto r = client->RecvFrom()) {
+      out.replies.emplace_back(r->payload.begin(), r->payload.end());
+    }
+    EXPECT_EQ(server.requests(), 3u);
+    out.tx_allocs = tx->total_allocs() - tx_allocs;
+    out.tx_pool_refilled = tx->available() == tx_available;
+    return out;
+  };
+  const Run netdev = run(KvMode::kUkNetdev);
+  const Run dpdk = run(KvMode::kDpdkStyle);
+  EXPECT_EQ(netdev.replies, (std::vector<std::string>{"K", "nine", "E"}));
+  EXPECT_EQ(dpdk.replies, netdev.replies);
+  EXPECT_EQ(netdev.tx_allocs, 0u);  // in place: the TX pool never churns
+  EXPECT_EQ(dpdk.tx_allocs, 3u);    // one fresh TX buffer per reply...
+  EXPECT_TRUE(dpdk.tx_pool_refilled);  // ...each back in the pool after TX
+  EXPECT_TRUE(netdev.tx_pool_refilled);
 }
 
 }  // namespace

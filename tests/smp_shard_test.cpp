@@ -514,6 +514,92 @@ TEST(SmpShard, CrossShardMultiGetUnderConcurrentLoad) {
   }
 }
 
+// The other deferred replies: a foreign single-key GET (hit and miss) and a
+// multi-get with a missing foreign key answer on the arrival flow, and a
+// foreign SET too large for a ring slot is refused on the spot without a
+// ring message. No loop ever touches a foreign shard.
+TEST(SmpShard, CrossShardSingleKeyGetsMissesAndOversizedSet) {
+  constexpr std::uint16_t kQueues = 4;
+  KvWorld w(kQueues);
+  ASSERT_TRUE(w.server->Start());
+  ASSERT_EQ(w.server->queue_count(), kQueues);
+
+  const std::uint16_t port0 = PortForQueue(0, kQueues);
+  const std::uint16_t port1 = PortForQueue(1, kQueues);
+  const std::uint16_t key0 = KeyForShard(0, kQueues);
+  const std::uint16_t key1 = KeyForShard(1, kQueues);
+  const std::uint16_t absent1 = KeyForShard(1, kQueues, key1 + 1);  // never set
+  // One request on |port|'s flow, every loop pumped until the reply is out.
+  auto exchange = [&](std::uint16_t port, const std::vector<std::uint8_t>& payload) {
+    w.wire.Send(1, KvFrame(w.nic->mac(), port, payload));
+    for (int i = 0; i < 10; ++i) {
+      for (std::uint16_t q = 0; q < kQueues; ++q) {
+        w.server->PumpQueue(q);
+      }
+    }
+    std::vector<Reply> replies;
+    DrainReplies(w.wire, &replies);
+    return replies;
+  };
+  auto text = [](const Reply& r) {
+    return std::string(r.payload.begin(), r.payload.end());
+  };
+
+  // Seed shards 0 and 1 through their own flows (local fast path).
+  ASSERT_EQ(exchange(port0, apps::EncodeKvRequest({true, key0, "home"})).size(), 1u);
+  ASSERT_EQ(exchange(port1, apps::EncodeKvRequest({true, key1, "away"})).size(), 1u);
+  ASSERT_EQ(w.server->ring_messages(), 0u);
+
+  // Foreign GET hit: shard 1's value comes back on queue 0's flow, one kGet
+  // out and one kResp back.
+  auto hit = exchange(port0, apps::EncodeKvRequest({false, key1, ""}));
+  ASSERT_EQ(hit.size(), 1u);
+  EXPECT_EQ(hit[0].port, port0);
+  EXPECT_EQ(text(hit[0]), "away");
+  EXPECT_EQ(w.server->cross_shard_ops(), 1u);
+  EXPECT_EQ(w.server->ring_messages(), 2u);
+
+  // Foreign GET miss: deferred the same way, answered with 'E'.
+  auto miss = exchange(port0, apps::EncodeKvRequest({false, absent1, ""}));
+  ASSERT_EQ(miss.size(), 1u);
+  EXPECT_EQ(miss[0].port, port0);
+  EXPECT_EQ(text(miss[0]), "E");
+  EXPECT_EQ(w.server->cross_shard_ops(), 2u);
+  EXPECT_EQ(w.server->ring_messages(), 4u);
+
+  // Multi-get of a local hit and a foreign miss: the miss reads len 0xffff.
+  const std::uint16_t mkeys[2] = {key0, absent1};
+  auto mget = exchange(port0, apps::EncodeKvMultiGet(mkeys));
+  ASSERT_EQ(mget.size(), 1u);
+  EXPECT_EQ(mget[0].port, port0);
+  const std::vector<std::uint8_t> want = {'V', 2, 4, 0, 'h', 'o', 'm', 'e', 0xff, 0xff};
+  EXPECT_EQ(mget[0].payload, want);
+  EXPECT_EQ(w.server->cross_shard_ops(), 3u);
+  EXPECT_EQ(w.server->ring_messages(), 6u);
+
+  // Foreign SET over the ring-slot cap: 'E' at once, nothing rung.
+  const std::string big(KvServer::kMaxInlineValue + 1, 'x');
+  auto refused = exchange(port0, apps::EncodeKvRequest({true, key1, big}));
+  ASSERT_EQ(refused.size(), 1u);
+  EXPECT_EQ(refused[0].port, port0);
+  EXPECT_EQ(text(refused[0]), "E");
+  EXPECT_EQ(w.server->cross_shard_ops(), 3u);
+  EXPECT_EQ(w.server->ring_messages(), 6u);
+  auto kept = exchange(port1, apps::EncodeKvRequest({false, key1, ""}));
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(text(kept[0]), "away");
+
+  EXPECT_EQ(w.server->requests(), 7u);
+  for (std::uint16_t accessor = 0; accessor < kQueues; ++accessor) {
+    for (std::uint16_t shard = 0; shard < kQueues; ++shard) {
+      if (accessor != shard) {
+        EXPECT_EQ(w.server->shard_accesses(accessor, shard), 0u)
+            << "loop " << accessor << " read shard " << shard;
+      }
+    }
+  }
+}
+
 // ---- TX-pool refill: writable readiness instead of busy retries -----------------
 
 class SmallTxPoolTest : public netharness::TwoHostTest {
