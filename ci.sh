@@ -52,6 +52,19 @@ check_md_links() {
 check_md_links
 echo "ci: markdown links OK"
 
+# The example programs check themselves end to end (example_webserver drives
+# WrkClient against HttpServer on StreamServer under a scheduler and requires
+# zero idle poll growth); a nonzero exit fails the push.
+run_examples() {
+  local ex
+  for ex in "$1"/example_*; do
+    if ! "$ex" > /dev/null < /dev/null; then
+      echo "ci: $ex exited nonzero" >&2
+      return 1
+    fi
+  done
+}
+
 cmake -B "$BUILD_DIR" -S . -DUKRAFT_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$JOBS"
 # Fast feedback first: tier1 (everything but the fleet scenarios) fails the
@@ -59,6 +72,7 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 # scenarios — balancer steering, kill/respawn cold-start, churn at scale.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L tier1
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L tier2
+run_examples "$BUILD_DIR"
 
 # SMP scale-out leg: the same suite at full RSS width (every TestBed-based
 # test runs 4 queues / 4 shards), then the cores-vs-throughput gate — the
@@ -104,6 +118,8 @@ cmake -B "$ASAN_BUILD_DIR" -S . -DUKRAFT_WERROR=ON -DUKRAFT_SANITIZE=ON
 cmake --build "$ASAN_BUILD_DIR" -j "$JOBS"
 UBSAN_OPTIONS="halt_on_error=1" ASAN_OPTIONS="detect_leaks=0" UKRAFT_QUEUES=2 \
   ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure -j "$JOBS"
+UBSAN_OPTIONS="halt_on_error=1" ASAN_OPTIONS="detect_leaks=0" \
+  run_examples "$ASAN_BUILD_DIR"
 
 # Scheduler teardown leg: a real thread left blocked when its ThreadScheduler
 # dies is detached and must never touch the freed scheduler again. A wait that
@@ -193,4 +209,4 @@ UKRAFT_THREADS=real "$TSAN_BUILD_DIR"/fleet_test
 # (emits BENCH_rss_scaling_threads.json next to the fiber-mode trendline).
 (cd "$BUILD_DIR" && UKRAFT_THREADS=real ./bench_fig_rss_scaling --threads)
 
-echo "ci: OK (src/ built with -Wall -Wextra -Werror; markdown links checked; tests passed tier1+tier2 plain, at UKRAFT_QUEUES=4 with the RSS-scaling, fleet-scaling and persistence gates, perfbench_test and a correct udp-kv-4q perfbench smoke, and under ASan+UBSan with UKRAFT_QUEUES=2, incl. the blocking --wait, --eventloop, TCP --loss, fleet, persistence and 50x scheduler-teardown legs; TSan covered the sharded suites plus the counter, loss-pattern and fleet suites in fiber AND real-thread mode, and the scaling gate held on real threads)"
+echo "ci: OK (src/ built with -Wall -Wextra -Werror; markdown links checked; tests passed tier1+tier2 plain, the examples ran clean plain and sanitized, at UKRAFT_QUEUES=4 with the RSS-scaling, fleet-scaling and persistence gates, perfbench_test and a correct udp-kv-4q perfbench smoke, and under ASan+UBSan with UKRAFT_QUEUES=2, incl. the blocking --wait, --eventloop, TCP --loss, fleet, persistence and 50x scheduler-teardown legs; TSan covered the sharded suites plus the counter, loss-pattern and fleet suites in fiber AND real-thread mode, and the scaling gate held on real threads)"

@@ -120,33 +120,12 @@ std::size_t HttpServer::PumpWait(std::uint64_t timeout_cycles) {
 
 WrkClient::WrkClient(uknet::NetStack* stack, uknet::Ip4Addr server, std::uint16_t port,
                      Config config)
-    : stack_(stack), server_(server), port_(port), config_(config) {}
-
-bool WrkClient::ConnectAll(const std::function<void()>& pump) {
-  for (int i = 0; i < config_.connections; ++i) {
-    auto sock = stack_->TcpConnect(server_, port_);
-    if (sock == nullptr) {
-      return false;
-    }
-    conns_.push_back(ClientConn{std::move(sock), {}, 0});
-  }
-  for (int rounds = 0; rounds < 50000; ++rounds) {
-    bool all = true;
-    for (ClientConn& c : conns_) {
-      all = all && c.sock->connected();
-    }
-    if (all) {
-      return true;
-    }
-    pump();
-  }
-  return false;
-}
-
-namespace {
+    : PipelinedClient(stack, server, port, config.connections, config.pipeline),
+      request_("GET " + config.path +
+               " HTTP/1.1\r\nHost: 10.0.0.1\r\nConnection: keep-alive\r\n\r\n") {}
 
 // Counts complete HTTP responses in |buf| using Content-Length framing.
-std::size_t ConsumeHttpResponses(std::string* buf) {
+std::size_t WrkClient::ConsumeComplete(std::string* buf) {
   std::size_t count = 0;
   for (;;) {
     std::size_t head_end = buf->find("\r\n\r\n");
@@ -166,46 +145,6 @@ std::size_t ConsumeHttpResponses(std::string* buf) {
     ++count;
   }
   return count;
-}
-
-}  // namespace
-
-std::size_t WrkClient::PumpOnce() {
-  std::string request = "GET " + config_.path +
-                        " HTTP/1.1\r\nHost: 10.0.0.1\r\nConnection: keep-alive\r\n\r\n";
-  std::size_t done = 0;
-  std::uint8_t buf[8192];
-  for (ClientConn& c : conns_) {
-    if (c.sock->failed()) {
-      continue;
-    }
-    if (c.in_flight < config_.pipeline) {
-      // Coalesced pipeline write, like wrk's batched request buffers.
-      std::string batch;
-      int batched = 0;
-      while (c.in_flight + batched < config_.pipeline) {
-        batch += request;
-        ++batched;
-      }
-      std::int64_t n = c.sock->Send(std::span(
-          reinterpret_cast<const std::uint8_t*>(batch.data()), batch.size()));
-      if (n == static_cast<std::int64_t>(batch.size())) {
-        c.in_flight += batched;
-      }
-    }
-    for (;;) {
-      std::int64_t n = c.sock->Recv(buf);
-      if (n <= 0) {
-        break;
-      }
-      c.rx.append(reinterpret_cast<char*>(buf), static_cast<std::size_t>(n));
-    }
-    std::size_t got = ConsumeHttpResponses(&c.rx);
-    c.in_flight -= static_cast<int>(got);
-    responses_ += got;
-    done += got;
-  }
-  return done;
 }
 
 }  // namespace apps

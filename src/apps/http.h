@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "apps/event_loop.h"
+#include "apps/load_client.h"
 #include "apps/stream_server.h"
 #include "posix/api.h"
 #include "shfs/shfs.h"
@@ -48,8 +49,6 @@ class HttpServer {
   std::size_t PumpWait(std::uint64_t timeout_cycles = EventLoop::kNoTimeout);
 
   std::uint64_t requests_served() const { return requests_; }
-  std::size_t connections() const { return server_.connections(); }
-  EventLoop& loop() { return loop_; }
 
  private:
   // The connection machinery is the shared StreamServer scaffold; this class
@@ -68,7 +67,7 @@ class HttpServer {
 };
 
 // wrk work-alike: persistent connections hammering one static path.
-class WrkClient {
+class WrkClient : public PipelinedClient {
  public:
   struct Config {
     int connections = 30;
@@ -79,23 +78,13 @@ class WrkClient {
   WrkClient(uknet::NetStack* stack, uknet::Ip4Addr server, std::uint16_t port,
             Config config);
 
-  bool ConnectAll(const std::function<void()>& pump);
-  std::size_t PumpOnce();
-  std::uint64_t responses() const { return responses_; }
+  std::uint64_t responses() const { return completed(); }
 
  private:
-  struct ClientConn {
-    std::shared_ptr<uknet::TcpSocket> sock;
-    std::string rx;
-    int in_flight = 0;
-  };
+  void AppendRequest(std::string& batch) override { batch += request_; }
+  std::size_t ConsumeComplete(std::string* rx) override;
 
-  uknet::NetStack* stack_;
-  uknet::Ip4Addr server_;
-  std::uint16_t port_;
-  Config config_;
-  std::vector<ClientConn> conns_;
-  std::uint64_t responses_ = 0;
+  std::string request_;  // the one request every pipeline slot repeats
 };
 
 }  // namespace apps

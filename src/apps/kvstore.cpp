@@ -594,7 +594,7 @@ std::size_t KvServer::HandleInto(std::uint16_t queue,
         return 1;
       }
       if (v->size() > cap) {
-        return 0;
+        return kNoReply;
       }
       // The value is copied straight into the wire buffer. |out| may overlap
       // the request payload; the key was already read above.
@@ -629,7 +629,7 @@ std::size_t KvServer::HandleInto(std::uint16_t queue,
   }
   if (op.remaining == 0) {
     // All keys local: answer synchronously, no ring traffic.
-    return cap < MaxReplyBytes(nkeys) ? 0 : EncodeReply(op, out);
+    return cap < MaxReplyBytes(nkeys) ? kNoReply : EncodeReply(op, out);
   }
   if (!can_defer) {
     out[0] = 'E';  // unreachable when queues_ == 1 (all keys hash local)
@@ -638,7 +638,7 @@ std::size_t KvServer::HandleInto(std::uint16_t queue,
   op.id = next_req_id_[queue]++;
   op.reply_to = *reply_to;
   Defer(op);
-  return 0;
+  return kNoReply;
 }
 
 std::size_t KvServer::PumpSocketSingle() {
@@ -655,7 +655,8 @@ std::size_t KvServer::PumpSocketSingle() {
     const bool probe = n > 0 && buf[0] == 'P';
     std::size_t len = HandleInto(0, std::span(buf, static_cast<std::size_t>(n)),
                                  reply, sizeof(reply), nullptr);
-    api_->SendTo(fd_, src_ip, src_port, std::span(reply, len));
+    api_->SendTo(fd_, src_ip, src_port,
+                 std::span(reply, len == kNoReply ? 0 : len));
     loops_.At(0).Add(probe ? &Stats::probe_requests : &Stats::requests);
     ++handled;
   }
@@ -681,7 +682,7 @@ std::size_t KvServer::PumpSocketBatch() {
     probes += msgs[i].len > 0 && msgs[i].data[0] == 'P' ? 1 : 0;
     std::size_t len = HandleInto(0, std::span(msgs[i].data, msgs[i].len),
                                  msgs[i].data, msgs[i].cap, nullptr);
-    vecs[i] = posix::MmsgVec{msgs[i].data, len};
+    vecs[i] = posix::MmsgVec{msgs[i].data, len == kNoReply ? 0 : len};
   }
   // One sendmmsg per run of consecutive datagrams from the same source: a
   // batch from one client goes back in a single call.
@@ -738,8 +739,8 @@ uknetdev::NetBuf* KvServer::AnswerFrame(std::uint16_t queue, uknetdev::NetBuf* n
   const std::size_t reply_len =
       reply != nullptr
           ? HandleInto(queue, request, reply + kReplyHdrs, cap - kReplyHdrs, &to)
-          : 0;
-  if (reply_len == 0) {
+          : kNoReply;
+  if (reply_len == kNoReply) {
     if (out != nb) {
       out->pool->Free(out);
     }

@@ -212,13 +212,17 @@ class KvServer {
   // the framed reply buffer, or null when nothing is sent now. |nb| stays the
   // caller's to free unless it is the buffer returned.
   uknetdev::NetBuf* AnswerFrame(std::uint16_t queue, uknetdev::NetBuf* nb);
+  // HandleInto's "nothing to send now": 0 is a valid reply length (the
+  // stored value of a GET may be empty).
+  static constexpr std::size_t kNoReply = static_cast<std::size_t>(-1);
   // Executes one request against |queue|'s shard and writes the reply bytes
   // straight into |out| (usually the wire buffer itself). Returns reply
-  // length, 0 when |cap| is too small or when the request was deferred: a
-  // request touching foreign shards parks a PendingOp (addressed to
-  // |reply_to|) and its ring messages go out. Never allocates on the
+  // length, kNoReply when |cap| is too small or when the request was
+  // deferred: a request touching foreign shards parks a PendingOp (addressed
+  // to |reply_to|) and its ring messages go out. Never allocates on the
   // shard-local path. A null |reply_to| (socket modes) forces every key
-  // local, which holds by construction when queues_ == 1.
+  // local, which holds by construction when queues_ == 1; the socket modes'
+  // 2 KiB buffers hold any reply, so they never see kNoReply.
   std::size_t HandleInto(std::uint16_t queue, std::span<const std::uint8_t> payload,
                          std::uint8_t* out, std::size_t cap, const ReplyTo* reply_to);
   // Parks |op| and rings one kGet (kSet for a SET) per foreign key to its

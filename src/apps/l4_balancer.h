@@ -12,21 +12,21 @@
 // assert ("zero resets on survivors") and what makes kill/respawn safe
 // under load.
 //
-// The client side rides the shared apps::StreamServer scaffold (accept
-// drain, interest-tracked flush, close-after-drain); the backend side is
-// balancer-owned connect sockets on the same EventLoop, spliced to their
-// client fd in both directions with backlog-tracked interest. Health is
-// active: each slot is probed on a virtual-clock interval over a real TCP
-// connection that announces itself with StreamServer::kProbePreamble (so
-// backends keep probes out of their request stats) and must answer within a
-// timeout or the slot goes down — taking its proxied flows with it, since a
-// dead backend will never answer them anyway. Draining slots finish their
-// flows but receive no new ones.
+// The splice is two apps::StreamServer instances on the balancer's one
+// EventLoop: the client side listens on the VIP, the backend side opens one
+// connection per flow with StreamServer::Connect, and each side's on_data
+// submits to the other. Both directions get the scaffold's interest-tracked
+// flush and close-after-drain; the balancer itself keeps only which fd is
+// spliced to which. Health is active: each slot is probed on a virtual-clock
+// interval over a backend-side connection that announces itself with
+// StreamServer::kProbePreamble (so backends keep probes out of their request
+// stats) and must answer within a timeout or the slot goes down — taking its
+// proxied flows with it, since a dead backend will never answer them anyway.
+// Draining slots finish their flows but receive no new ones.
 #ifndef APPS_L4_BALANCER_H_
 #define APPS_L4_BALANCER_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -63,8 +63,6 @@ class L4Balancer {
     std::uint64_t probes_ok = 0;
     std::uint64_t probes_failed = 0;
     std::uint64_t backend_down_events = 0;
-    std::uint64_t bytes_in = 0;   // client -> backend
-    std::uint64_t bytes_out = 0;  // backend -> client
   };
 
   L4Balancer(posix::PosixApi* api, ukplat::Clock* clock, Config config);
@@ -76,9 +74,7 @@ class L4Balancer {
   // Adds a steering slot; returns its index. Call before Start().
   int AddBackend(BackendConfig backend);
 
-  // Administrative state flips. MarkDown closes every proxied flow on the
-  // slot (a dead backend never answers them); drain just stops new flows.
-  void MarkDown(int slot);
+  // Administrative drain: the slot keeps its flows but gets no new ones.
   void SetDrain(int slot, bool drain);
 
   BackendState state(int slot) const { return backends_[slot].state; }
@@ -95,8 +91,6 @@ class L4Balancer {
   int SteerSlot(uknet::Ip4Addr ip, std::uint16_t port) const;
 
   const Stats& stats() const { return stats_; }
-  EventLoop& loop() { return loop_; }
-  StreamServer& stream() { return server_; }
 
  private:
   struct Backend {
@@ -106,39 +100,39 @@ class L4Balancer {
     int probe_fd = -1;
     std::uint64_t probe_deadline = 0;
     std::uint64_t next_probe_at = 0;
-    bool probe_sent = false;
   };
 
-  // One proxied backend connection, keyed by its fd in upstreams_.
-  struct Upstream {
-    int client_fd = -1;
-    int slot = -1;
-    bool established = false;
-    std::string pending;  // client bytes queued until connect/backlog drains
-    uknet::EventMask interest = 0;
+  // One end of a spliced flow, indexed by its fd in ends_.
+  struct FlowEnd {
+    int peer = -1;        // the fd at the other end; -1: not spliced
+    int slot = -1;        // the backend slot the flow steers to
+    bool client = false;  // a client_ connection (else a backend_ one)
   };
 
-  StreamServer::Handler MakeHandler();
+  // Closes every proxied flow on the slot (a dead backend never answers
+  // them) and stops steering to it until a probe succeeds.
+  void MarkDown(int slot);
+  StreamServer::Handler ClientHandler();
+  StreamServer::Handler BackendHandler();
   void OnClientOpen(StreamServer::Conn& conn);
-  void OnClientData(StreamServer::Conn& conn, std::string_view data);
-  void OnClientClose(StreamServer::Conn& conn);
-  void OnUpstreamEvent(int ufd, uknet::EventMask events);
-  void FlushUpstream(int ufd, Upstream& up);
-  void CloseUpstream(int ufd, bool close_client);
+  // Forgets the flow |fd| belongs to. Returns the other end's fd, or -1.
+  int Unsplice(int fd);
   void RunTimers();
   void StartProbe(int slot);
   void FinishProbe(int slot, bool ok);
-  void OnProbeEvent(int slot, uknet::EventMask events);
+  // The slot whose in-flight probe is |fd|, or -1.
+  int ProbeSlot(int fd) const;
   int PickSlot(std::uint32_t hash, bool* fell_back) const;
 
   posix::PosixApi* api_;
   ukplat::Clock* clock_;
   Config config_;
+  std::string probe_bytes_;  // kProbePreamble + probe_request, one write
   EventLoop loop_;
-  StreamServer server_;
+  StreamServer client_;   // listens on the VIP
+  StreamServer backend_;  // flow upstreams and health probes
   std::vector<Backend> backends_;
-  std::map<int, Upstream> upstreams_;      // backend fd -> splice state
-  std::map<int, int> client_to_upstream_;  // client fd -> backend fd
+  std::vector<FlowEnd> ends_;  // one per fd-table slot
   Stats stats_;
 };
 

@@ -77,13 +77,8 @@ void ValueStore::CaptureKeys(std::vector<std::string>* keys) const {
 
 RedisServer::RedisServer(posix::PosixApi* api, ukalloc::Allocator* alloc,
                          std::uint16_t port)
-    : api_(api), port_(port), loop_(api), active_loop_(&loop_),
+    : port_(port), loop_(api),
       server_(api, &loop_, MakeHandler()), store_(alloc) {}
-
-RedisServer::RedisServer(posix::PosixApi* api, ukalloc::Allocator* alloc,
-                         std::uint16_t port, EventLoop* loop)
-    : api_(api), port_(port), loop_(api), active_loop_(loop),
-      server_(api, loop, MakeHandler()), store_(alloc) {}
 
 StreamServer::Handler RedisServer::MakeHandler() {
   StreamServer::Handler h;
@@ -122,7 +117,7 @@ void RedisServer::AttachPersist(Persist* persist) {
   // The batching point: per-command appends stay in memory, the turn hook
   // does the one segment write (+ fsync per policy) and advances any
   // background save by its per-turn chunk budget.
-  active_loop_->AddTurnEndHook([persist] { persist->OnTurnEnd(); });
+  loop_.AddTurnEndHook([persist] { persist->OnTurnEnd(); });
 }
 
 Persist::RecoverStats RedisServer::RecoverFromPersist() {
@@ -297,7 +292,7 @@ std::size_t RedisServer::PumpOnce() { return PumpWait(0); }
 
 std::size_t RedisServer::PumpWait(std::uint64_t timeout_cycles) {
   const std::uint64_t before = commands_;
-  active_loop_->PumpOnce(timeout_cycles);
+  loop_.PumpOnce(timeout_cycles);
   return static_cast<std::size_t>(commands_ - before);
 }
 
@@ -305,80 +300,24 @@ std::size_t RedisServer::PumpWait(std::uint64_t timeout_cycles) {
 
 RedisBenchClient::RedisBenchClient(uknet::NetStack* stack, uknet::Ip4Addr server,
                                    std::uint16_t port, Config config)
-    : stack_(stack), server_(server), port_(port), config_(config) {
+    : PipelinedClient(stack, server, port, config.connections, config.pipeline),
+      config_(config) {
   value_.assign(static_cast<std::size_t>(config_.value_bytes), 'x');
 }
 
-bool RedisBenchClient::ConnectAll(const std::function<void()>& pump) {
-  for (int i = 0; i < config_.connections; ++i) {
-    auto sock = stack_->TcpConnect(server_, port_);
-    if (sock == nullptr) {
-      return false;
-    }
-    conns_.push_back(ClientConn{std::move(sock), {}, 0});
+void RedisBenchClient::AppendRequest(std::string& batch) {
+  key_.assign("key:");
+  char digits[24];
+  auto [ptr, ec] = std::to_chars(
+      digits, digits + sizeof(digits),
+      seq_++ % static_cast<std::uint64_t>(config_.keyspace));
+  (void)ec;
+  key_.append(digits, static_cast<std::size_t>(ptr - digits));
+  if (config_.use_set) {
+    RespCommandInto(batch, {"SET", key_, value_});
+  } else {
+    RespCommandInto(batch, {"GET", key_});
   }
-  for (int rounds = 0; rounds < 50000; ++rounds) {
-    bool all = true;
-    for (ClientConn& c : conns_) {
-      all = all && c.sock->connected();
-    }
-    if (all) {
-      return true;
-    }
-    pump();
-  }
-  return false;
-}
-
-std::size_t RedisBenchClient::PumpOnce() {
-  std::size_t done = 0;
-  for (ClientConn& c : conns_) {
-    if (c.sock->failed()) {
-      continue;
-    }
-    // Keep the pipeline full: coalesce the whole batch into one send, the
-    // way redis-benchmark writes its pipeline in a single write(). The batch
-    // and key buffers are reused across pumps; commands are encoded straight
-    // into the batch buffer.
-    if (c.in_flight < config_.pipeline) {
-      batch_.clear();
-      int batched = 0;
-      while (c.in_flight + batched < config_.pipeline) {
-        key_.assign("key:");
-        char digits[24];
-        auto [ptr, ec] = std::to_chars(
-            digits, digits + sizeof(digits),
-            seq_++ % static_cast<std::uint64_t>(config_.keyspace));
-        (void)ec;
-        key_.append(digits, static_cast<std::size_t>(ptr - digits));
-        if (config_.use_set) {
-          RespCommandInto(batch_, {"SET", key_, value_});
-        } else {
-          RespCommandInto(batch_, {"GET", key_});
-        }
-        ++batched;
-      }
-      std::int64_t n = c.sock->Send(std::span(
-          reinterpret_cast<const std::uint8_t*>(batch_.data()), batch_.size()));
-      if (n == static_cast<std::int64_t>(batch_.size())) {
-        c.in_flight += batched;
-      }
-    }
-    // Reap replies.
-    std::uint8_t buf[8192];
-    for (;;) {
-      std::int64_t n = c.sock->Recv(buf);
-      if (n <= 0) {
-        break;
-      }
-      c.rx.append(reinterpret_cast<char*>(buf), static_cast<std::size_t>(n));
-    }
-    std::size_t got = ConsumeReplies(&c.rx);
-    c.in_flight -= static_cast<int>(got);
-    replies_ += got;
-    done += got;
-  }
-  return done;
 }
 
 }  // namespace apps

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "apps/event_loop.h"
+#include "apps/load_client.h"
 #include "apps/persist.h"
 #include "apps/resp.h"
 #include "apps/stream_server.h"
@@ -64,17 +65,10 @@ class ValueStore {
 // The connection machinery (accept drain, recv loop, interest-tracked flush,
 // close-after-drain) lives in the shared apps::StreamServer scaffold; this
 // class is only the RESP protocol: a per-connection parser plus ExecuteInto
-// over its ValueStore. In sharded deployments N instances ride N per-queue
-// loops; instance 0 listens and steers each accepted fd to the instance
-// owning the connection's RSS queue, so every loop runs one code path.
+// over its ValueStore.
 class RedisServer {
  public:
   RedisServer(posix::PosixApi* api, ukalloc::Allocator* alloc, std::uint16_t port);
-  // Sharded instance riding an external per-queue loop. Only the instance
-  // that calls Start() listens; siblings receive fds through the steering
-  // hook (SetSteer on the listener, targets returned by stream()).
-  RedisServer(posix::PosixApi* api, ukalloc::Allocator* alloc, std::uint16_t port,
-              EventLoop* loop);
 
   // Starts listening and registers with the event loop. False on failure.
   bool Start();
@@ -90,19 +84,16 @@ class RedisServer {
   std::uint64_t probe_commands() const { return probe_commands_; }
   std::size_t connections() const { return server_.connections(); }
   ValueStore& store() { return store_; }
-  EventLoop& loop() { return *active_loop_; }
+  EventLoop& loop() { return loop_; }
   StreamServer& stream() { return server_; }
 
   // Wires the durability tier in: the store becomes the persist Source, every
   // mutation is AOF-logged (and COW-guarded during background saves), and the
-  // active loop gets a turn-end hook that batches the file I/O. Enables the
+  // loop gets a turn-end hook that batches the file I/O. Enables the
   // SAVE / BGSAVE / WAITAOF commands. Call before traffic.
   void AttachPersist(Persist* persist);
   // Replays snapshot + AOF into the (empty) store — the kLate boot step.
   Persist::RecoverStats RecoverFromPersist();
-  Persist* persist() { return persist_; }
-  // Steering hook for sharded accept-steer-dispatch (listener instance only).
-  void SetSteer(StreamServer::Steer steer) { server_.SetSteer(std::move(steer)); }
 
  private:
   // Appends the reply straight into |out| (the connection's pending buffer):
@@ -111,10 +102,8 @@ class RedisServer {
   void ExecuteInto(std::span<const std::string_view> argv, std::string& out);
   StreamServer::Handler MakeHandler();
 
-  posix::PosixApi* api_;
   std::uint16_t port_;
-  EventLoop loop_;            // owned loop (single-loop deployments)
-  EventLoop* active_loop_;    // the loop this instance actually rides
+  EventLoop loop_;
   StreamServer server_;
   ValueStore store_;
   Persist* persist_ = nullptr;  // optional durability tier (unowned)
@@ -123,7 +112,7 @@ class RedisServer {
 };
 
 // redis-benchmark work-alike: N connections, pipelined GET/SET mix.
-class RedisBenchClient {
+class RedisBenchClient : public PipelinedClient {
  public:
   struct Config {
     int connections = 30;
@@ -136,28 +125,15 @@ class RedisBenchClient {
   RedisBenchClient(uknet::NetStack* stack, uknet::Ip4Addr server, std::uint16_t port,
                    Config config);
 
-  bool ConnectAll(const std::function<void()>& pump);
-  // Issues pipelined requests and reaps replies; returns replies completed.
-  std::size_t PumpOnce();
-
-  std::uint64_t replies() const { return replies_; }
+  std::uint64_t replies() const { return completed(); }
 
  private:
-  struct ClientConn {
-    std::shared_ptr<uknet::TcpSocket> sock;
-    std::string rx;
-    int in_flight = 0;
-  };
+  void AppendRequest(std::string& batch) override;
+  std::size_t ConsumeComplete(std::string* rx) override { return ConsumeReplies(rx); }
 
-  uknet::NetStack* stack_;
-  uknet::Ip4Addr server_;
-  std::uint16_t port_;
   Config config_;
-  std::vector<ClientConn> conns_;
-  std::uint64_t replies_ = 0;
   std::uint64_t seq_ = 0;
-  // Reused across pumps so the request path allocates nothing per batch.
-  std::string batch_;
+  // Reused across requests so encoding allocates nothing.
   std::string key_;
   std::string value_;
 };

@@ -1,5 +1,7 @@
 #include "apps/stream_server.h"
 
+#include "ukarch/status.h"
+
 namespace apps {
 
 StreamServer::~StreamServer() {
@@ -34,17 +36,21 @@ void StreamServer::OnAcceptable() {
     if (fd < 0) {
       break;
     }
-    StreamServer* owner = this;
-    if (steer_) {
-      StreamServer* steered = steer_(fd);
-      if (steered != nullptr) {
-        owner = steered;
-      }
-    }
-    if (!owner->Adopt(fd)) {
-      continue;  // Adopt closed the fd
-    }
+    Adopt(fd);  // on failure Adopt closed the fd
   }
+}
+
+int StreamServer::Connect(uknet::Ip4Addr ip, std::uint16_t port) {
+  const int fd = api_->Socket(posix::SockType::kStream);
+  if (fd < 0) {
+    return -1;
+  }
+  const int rc = api_->Connect(fd, ip, port);
+  if (rc != 0 && rc != static_cast<int>(ukarch::Status::kInProgress)) {
+    api_->Close(fd);
+    return -1;
+  }
+  return Adopt(fd) ? fd : -1;
 }
 
 bool StreamServer::Adopt(int fd) {
@@ -55,21 +61,29 @@ bool StreamServer::Adopt(int fd) {
   }
   auto [it, inserted] = conns_.emplace(fd, Conn{});
   it->second.fd = fd;
-  ++accepted_;
   if (handler_.on_open) {
     handler_.on_open(it->second);
   }
   return true;
 }
 
-void StreamServer::CloseConn(int fd) {
-  auto it = conns_.find(fd);
-  if (it != conns_.end() && handler_.on_close) {
-    handler_.on_close(it->second);
+void StreamServer::Close(int fd) {
+  if (fd == dispatching_) {
+    dispatch_closed_ = true;  // OnConnEvent tears it down on unwind
+    return;
   }
+  auto it = conns_.find(fd);
+  if (it == conns_.end()) {
+    return;
+  }
+  // Unlinked before on_close runs, so a re-entrant close of the same fd from
+  // the handler finds nothing; the node keeps the Conn alive for the call.
+  auto node = conns_.extract(it);
   loop_->Del(fd);
+  if (handler_.on_close) {
+    handler_.on_close(node.mapped());
+  }
   api_->Close(fd);
-  conns_.erase(fd);
 }
 
 void StreamServer::FlushOut(int fd, Conn& conn) {
@@ -101,7 +115,7 @@ bool StreamServer::Submit(int fd, std::string_view data) {
   conn.out.append(data);
   FlushOut(fd, conn);
   if ((conn.peer_eof || conn.want_close) && conn.out.empty()) {
-    CloseConn(fd);
+    Close(fd);
   }
   return true;
 }
@@ -114,13 +128,7 @@ void StreamServer::CloseAfterFlush(int fd) {
   it->second.want_close = true;
   FlushOut(fd, it->second);
   if (it->second.out.empty()) {
-    CloseConn(fd);
-  }
-}
-
-void StreamServer::Close(int fd) {
-  if (conns_.count(fd) != 0) {
-    CloseConn(fd);
+    Close(fd);
   }
 }
 
@@ -131,11 +139,12 @@ void StreamServer::OnConnEvent(int fd, uknet::EventMask events) {
   }
   Conn& conn = it->second;
   if ((events & uknet::kEvtErr) != 0) {
-    CloseConn(fd);  // reset: nothing left to flush
+    Close(fd);  // reset: nothing left to flush
     return;
   }
   std::uint8_t buf[8192];
-  for (;;) {
+  dispatching_ = fd;
+  while (!dispatch_closed_) {
     std::int64_t n = api_->Recv(fd, buf);
     if (n > 0) {
       std::string_view data(reinterpret_cast<char*>(buf),
@@ -158,9 +167,15 @@ void StreamServer::OnConnEvent(int fd, uknet::EventMask events) {
     }
     break;
   }
+  dispatching_ = -1;
+  if (dispatch_closed_) {
+    dispatch_closed_ = false;
+    Close(fd);
+    return;
+  }
   FlushOut(fd, conn);
   if ((conn.peer_eof || conn.want_close) && conn.out.empty()) {
-    CloseConn(fd);
+    Close(fd);
   }
 }
 

@@ -1,18 +1,17 @@
 // apps/stream_server.h - the shared TCP stream-server scaffold.
 //
-// RedisServer, HttpServer and the tab5 event-loop echo grew three identical
-// copies of the same machinery: drain the accept queue on kEvtAcceptable,
-// recv-loop each readable connection, flush a pending-output buffer with
-// interest tracking (watch kEvtWritable only while bytes are backlogged so an
-// idle connection lets the loop sleep), and close after the drain once the
-// peer sent FIN or the app asked for teardown. This scaffold is that copy,
-// extracted once, with the protocol reduced to three callbacks.
+// Every TCP connection in apps/ runs through this one piece of machinery:
+// drain the accept queue on kEvtAcceptable, recv-loop each readable
+// connection, flush a pending-output buffer with interest tracking (watch
+// kEvtWritable only while bytes are backlogged so an idle connection lets the
+// loop sleep), and close after the drain once the peer sent FIN or the app
+// asked for teardown. RedisServer, HttpServer and the tab5 echo are the
+// server side; the L4 balancer's backend leg and health probes are the client
+// side (Connect). The protocol is reduced to three callbacks.
 //
-// It is also the fork point for SMP scale-out (§6): the scaffold does not own
-// its EventLoop, so N instances can ride N per-queue loops while a steering
-// hook on the listening instance hands each accepted fd to the instance whose
-// loop owns the connection's RSS queue (accept-steer-dispatch) — every loop
-// runs this one code path.
+// The scaffold does not own its EventLoop, so several instances can share one
+// loop (the balancer runs its client and backend sides that way) and a
+// handler may close any connection of any instance, its own included.
 #ifndef APPS_STREAM_SERVER_H_
 #define APPS_STREAM_SERVER_H_
 
@@ -51,7 +50,7 @@ class StreamServer {
   };
 
   struct Handler {
-    // Ran once per accepted/adopted connection; seed c.user here.
+    // Ran once per accepted or connected connection; seed c.user here.
     std::function<void(Conn&)> on_open;
     // Ran per received chunk: consume |data| (and/or buffer it in c.in),
     // append replies to c.out, set c.want_close to close after the flush.
@@ -60,12 +59,6 @@ class StreamServer {
     std::function<void(Conn&)> on_close;
   };
 
-  // Steering hook for the listening instance: maps a freshly accepted fd to
-  // the StreamServer that must own it (return this/nullptr to keep it local).
-  // The chosen instance may run on another loop; the caller is responsible
-  // for waking that loop (NetStack::RaiseQueueEvent on its queue).
-  using Steer = std::function<StreamServer*(int fd)>;
-
   StreamServer(posix::PosixApi* api, EventLoop* loop, Handler handler)
       : api_(api), loop_(loop), handler_(std::move(handler)) {}
   ~StreamServer();
@@ -73,15 +66,15 @@ class StreamServer {
   StreamServer(const StreamServer&) = delete;
   StreamServer& operator=(const StreamServer&) = delete;
 
-  // Binds, listens and registers the acceptor with the loop. One listening
-  // instance per port; sharded siblings receive their fds via Adopt.
+  // Binds, listens and registers the acceptor with the loop.
   bool Listen(std::uint16_t port);
-  void SetSteer(Steer steer) { steer_ = std::move(steer); }
 
-  // Registers an fd accepted elsewhere (the steering acceptor) with this
-  // instance's loop and runs on_open. False when the loop cannot watch it
-  // (the fd is closed — an unregistered conn would leak).
-  bool Adopt(int fd);
+  // The client side: opens a non-blocking connection to |ip|:|port| and
+  // adopts it (on_open runs before this returns). Returns the fd, or -1. The
+  // handshake need not be complete: bytes submitted before it finishes wait
+  // in the socket's send buffer and leave once the SYN|ACK arrives, and a
+  // refused connect closes the connection through on_close.
+  int Connect(uknet::Ip4Addr ip, std::uint16_t port);
 
   // Health-probe announcement: a connection whose first received bytes are
   // exactly this preamble is marked Conn::probe and counted in probe_conns()
@@ -101,33 +94,36 @@ class StreamServer {
 
   // Immediate teardown: runs on_close, deregisters and closes the fd now,
   // discarding any unflushed output (dead-upstream path).
+  //
+  // Both closes are safe from any handler, on any connection of any
+  // instance. The one exception to "now" is the connection whose on_data is
+  // running: it stops receiving at once and is torn down when its dispatch
+  // unwinds, so the handler's Conn& stays valid until it returns. on_close
+  // runs once per connection; a Close of it from inside its own on_close is
+  // a no-op.
   void Close(int fd);
 
-  // The connection state for |fd|, or nullptr. Valid until the next close.
-  Conn* Find(int fd) {
-    auto it = conns_.find(fd);
-    return it == conns_.end() ? nullptr : &it->second;
-  }
-
   std::size_t connections() const { return conns_.size(); }
-  std::uint64_t accepted() const { return accepted_; }
   std::uint64_t probe_conns() const { return probe_conns_; }
-  EventLoop* loop() { return loop_; }
 
  private:
   void OnAcceptable();
+  // Registers |fd| with the loop and runs on_open. False when the loop
+  // cannot watch it (the fd is closed — an unregistered conn would leak).
+  bool Adopt(int fd);
   void OnConnEvent(int fd, uknet::EventMask events);
-  void CloseConn(int fd);
   // Flushes pending replies; keeps kEvtWritable interest while bytes remain.
   void FlushOut(int fd, Conn& conn);
 
   posix::PosixApi* api_;
   EventLoop* loop_;
   Handler handler_;
-  Steer steer_;
   int listen_fd_ = -1;
   std::map<int, Conn> conns_;
-  std::uint64_t accepted_ = 0;
+  // The connection whose OnConnEvent is on the stack, and whether a handler
+  // closed it meanwhile (the teardown waits for the dispatch to unwind).
+  int dispatching_ = -1;
+  bool dispatch_closed_ = false;
   std::uint64_t probe_conns_ = 0;
 };
 

@@ -50,9 +50,6 @@ class SyscallShim {
 
   // Registers the handler for syscall |nr| (the uk_syscall_r_* macro analog).
   void Register(int nr, SyscallHandler handler);
-  bool Handles(int nr) const {
-    return nr >= 0 && nr <= kMaxSyscallNr && table_[static_cast<std::size_t>(nr)] != nullptr;
-  }
 
   // Invokes syscall |nr|: charges the mode's entry cost, runs a preemption
   // point (kernel entry), dispatches, auto-stubs -ENOSYS for unregistered

@@ -188,9 +188,10 @@ std::uint16_t NetIf::SendIpBatch(Ip4Addr dst, std::uint8_t proto,
   // instead of per packet, then emit everything in a single TxBurst.
   std::uint16_t ready = 0;
   for (std::uint16_t i = 0; i < cnt; ++i) {
+    // The IP ID stays at the header default: every header sets DF, so the
+    // datagrams are atomic and the ID carries no meaning (RFC 6864 §4.1).
     Ip4Header ip;
     ip.total_len = static_cast<std::uint16_t>(kIp4HdrBytes + pkts[i]->len);
-    ip.id = ip_id_++;
     ip.proto = proto;
     ip.src = config_.ip;
     ip.dst = dst;

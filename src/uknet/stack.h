@@ -258,7 +258,6 @@ class NetIf {
   std::map<Ip4Addr, std::vector<PendingTx>> arp_pending_;
   // Live counters, shared by every queue's loop.
   ukarch::Counters<IfStats> if_stats_;
-  std::uint16_t ip_id_ = 1;
   // Interrupt fires, one slot per queue: the handler may run on a foreign
   // loop (device backend) while the owning loop reads its own slot.
   std::array<std::atomic<std::uint64_t>, kMaxQueueSlots> rx_wakeups_{};

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "apps/btree.h"
 #include "apps/http.h"
@@ -11,6 +14,7 @@
 #include "apps/redis.h"
 #include "apps/resp.h"
 #include "apps/sql.h"
+#include "apps/stream_server.h"
 #include "env/testbed.h"
 #include "net_harness.h"
 #include "ukarch/hash.h"
@@ -248,6 +252,79 @@ TEST_F(HttpTest, ShfsModeServesFromVolume) {
     server.PumpOnce();
   }
   EXPECT_GT(wrk.responses(), 5u);
+}
+
+// ---- StreamServer -----------------------------------------------------------------
+
+// A handler may close any connection of any instance from inside on_data:
+// its own (torn down when the dispatch unwinds, so the Conn& it holds stays
+// valid), a sibling, and one of a second instance on the same loop. Each
+// on_close runs exactly once, also when it closes its own connection again.
+TEST(StreamServerTest, HandlerClosesOwnSiblingAndForeignConnections) {
+  env::TestBed bed(env::Profile::UnikraftKvm());
+  EventLoop loop(&bed.api());
+  std::vector<int> a_fds;
+  std::vector<int> b_fds;
+  std::map<int, int> a_closes;
+  std::map<int, int> b_closes;
+  std::string seen_after_close;
+  StreamServer* a = nullptr;
+  StreamServer b(&bed.api(), &loop,
+                 StreamServer::Handler{
+                     .on_open = [&](StreamServer::Conn& c) { b_fds.push_back(c.fd); },
+                     .on_data = nullptr,
+                     .on_close = [&](StreamServer::Conn& c) { ++b_closes[c.fd]; },
+                 });
+  StreamServer::Handler ha;
+  ha.on_open = [&](StreamServer::Conn& c) { a_fds.push_back(c.fd); };
+  ha.on_data = [&](StreamServer::Conn& c, std::string_view data) {
+    c.in.append(data);
+    if (c.in != "close-all") {
+      return;
+    }
+    a->Close(c.fd);
+    for (int fd : a_fds) {
+      a->Close(fd);  // the sibling; the own fd again is a no-op
+    }
+    b.Close(b_fds.at(0));
+    seen_after_close = c.in;  // still this handler's connection state
+  };
+  ha.on_close = [&](StreamServer::Conn& c) {
+    ++a_closes[c.fd];
+    a->Close(c.fd);  // re-entrant close from its own on_close: a no-op
+  };
+  StreamServer server_a(&bed.api(), &loop, ha);
+  a = &server_a;
+  ASSERT_TRUE(server_a.Listen(9000));
+  ASSERT_TRUE(b.Listen(9001));
+
+  auto pump = [&] {
+    for (int i = 0; i < 300; ++i) {
+      bed.Poll();
+      loop.PumpOnce();
+    }
+  };
+  auto x = bed.client().stack->TcpConnect(env::TestBed::kServerIp, 9000);
+  auto y = bed.client().stack->TcpConnect(env::TestBed::kServerIp, 9000);
+  auto z = bed.client().stack->TcpConnect(env::TestBed::kServerIp, 9001);
+  pump();
+  ASSERT_TRUE(x->connected() && y->connected() && z->connected());
+  ASSERT_EQ(server_a.connections(), 2u);
+  ASSERT_EQ(b.connections(), 1u);
+
+  const std::string cmd = "close-all";
+  x->Send(std::span(reinterpret_cast<const std::uint8_t*>(cmd.data()), cmd.size()));
+  pump();
+
+  EXPECT_EQ(seen_after_close, cmd);
+  EXPECT_EQ(server_a.connections(), 0u);
+  EXPECT_EQ(b.connections(), 0u);
+  ASSERT_EQ(a_fds.size(), 2u);
+  EXPECT_EQ(a_closes, (std::map<int, int>{{a_fds[0], 1}, {a_fds[1], 1}}));
+  EXPECT_EQ(b_closes, (std::map<int, int>{{b_fds.at(0), 1}}));
+  EXPECT_TRUE(x->peer_closed());
+  EXPECT_TRUE(y->peer_closed());
+  EXPECT_TRUE(z->peer_closed());
 }
 
 // ---- B+tree -----------------------------------------------------------------------------
@@ -552,6 +629,41 @@ TEST_F(KvTest, NetdevModeBypassesStackEntirely) {
   ASSERT_TRUE(r1 && r2);
   EXPECT_EQ(std::string(r2->payload.begin(), r2->payload.end()), "nine");
   guard.ExpectPoolFlat("kvstore uknetdev in-place replies");
+}
+
+// An empty stored value is a reply of length 0, not "no reply": the GET on
+// the key's home flow is answered with an empty payload and counted.
+TEST_F(KvTest, NetdevModeAnswersGetOfEmptyValue) {
+  ukplat::Clock clock;
+  ukplat::MemRegion mem(32 << 20);
+  std::uint64_t heap_gpa = mem.Carve(24 << 20, 4096);
+  auto alloc = ukalloc::CreateAllocator(ukalloc::Backend::kTlsf,
+                                        mem.At(heap_gpa, 24 << 20), 24 << 20);
+  ukplat::Wire wire2(&clock);
+  uknetdev::VirtioNet::Config nic_cfg;
+  nic_cfg.backend = uknetdev::VirtioBackend::kVhostUser;
+  nic_cfg.wire_side = 0;
+  uknetdev::VirtioNet nic(&mem, &clock, &wire2, nic_cfg);
+  KvServer server(&nic, &mem, alloc.get(), uknet::MakeIp(10, 0, 0, 1), 7777,
+                  KvMode::kUkNetdev);
+  ASSERT_TRUE(server.Start());
+  env::SimHost client2(&clock, &wire2, 1, uknet::MakeIp(10, 0, 0, 2),
+                       ukalloc::Backend::kTlsf, uknetdev::VirtioBackend::kVhostUser);
+  client2.netif->AddArpEntry(uknet::MakeIp(10, 0, 0, 1), nic.mac());
+  auto client = client2.stack->UdpOpen();
+  std::vector<std::string> replies;
+  for (const KvRequest& req : {KvRequest{true, 5, ""}, KvRequest{false, 5, ""}}) {
+    client->SendTo(uknet::MakeIp(10, 0, 0, 1), 7777, EncodeKvRequest(req));
+    for (int i = 0; i < 200; ++i) {
+      client2.stack->Poll();
+      server.PumpOnce();
+    }
+    while (auto r = client->RecvFrom()) {
+      replies.emplace_back(r->payload.begin(), r->payload.end());
+    }
+  }
+  EXPECT_EQ(replies, (std::vector<std::string>{"K", ""}));
+  EXPECT_EQ(server.requests(), 2u);
 }
 
 // Multi-queue kvstore: a 2-queue server pumps each queue independently;
