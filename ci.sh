@@ -84,21 +84,25 @@ UKRAFT_QUEUES=4 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 # Benchmark self-checks: perfbench/ is a CMake package of its own (it compiles
 # src/ itself), so its unit tests (statistics, reference loop, layer ledger,
-# tracing decorators) get a build dir of their own. Then a 2-second udp-kv-4q
-# smoke through the benchmark's own entry point: its generator checks every
-# reply against a per-key version model -- the only end-to-end check of the
-# sharded KvServer's deferred cross-shard replies -- and the last stdout line
-# must say "correct": true.
+# tracing decorators) get a build dir of their own. Then a 2-second smoke of
+# three workloads through the benchmark's own entry point; each generator
+# checks every reply against a per-key version model and the last stdout line
+# must say "correct": true. udp-kv-4q is the only end-to-end check of the
+# sharded KvServer's deferred cross-shard replies; resp-pingpong and
+# durable-restart carry the TCP request/reply path (delayed ACKs riding the
+# replies) and the kill+reboot with AOF replay.
 PERFBENCH_BUILD_DIR="${BUILD_DIR}-perfbench"
 cmake -B "$PERFBENCH_BUILD_DIR" -S perfbench
 cmake --build "$PERFBENCH_BUILD_DIR" -j "$JOBS" --target perfbench_test
 "$PERFBENCH_BUILD_DIR"/perfbench_test
-PERFBENCH_LAST="$(python3 perfbench/run.py --workload udp-kv-4q --seed 1 --seconds 2 \
-  --trace 0 | tail -n 1)"
-if [[ "$PERFBENCH_LAST" != *'"correct": true'* ]]; then
-  echo "ci: perfbench udp-kv-4q smoke was not correct: $PERFBENCH_LAST" >&2
-  exit 1
-fi
+for PERFBENCH_WORKLOAD in udp-kv-4q resp-pingpong durable-restart; do
+  PERFBENCH_LAST="$(python3 perfbench/run.py --workload "$PERFBENCH_WORKLOAD" --seed 1 \
+    --seconds 2 --trace 0 | tail -n 1)"
+  if [[ "$PERFBENCH_LAST" != *'"correct": true'* ]]; then
+    echo "ci: perfbench $PERFBENCH_WORKLOAD smoke was not correct: $PERFBENCH_LAST" >&2
+    exit 1
+  fi
+done
 
 # Fleet scaling gate: churn through the L4 balancer must reach >=3x the
 # 1-backend rate at 4 backends with zero aborted connections, and the
@@ -209,4 +213,4 @@ UKRAFT_THREADS=real "$TSAN_BUILD_DIR"/fleet_test
 # (emits BENCH_rss_scaling_threads.json next to the fiber-mode trendline).
 (cd "$BUILD_DIR" && UKRAFT_THREADS=real ./bench_fig_rss_scaling --threads)
 
-echo "ci: OK (src/ built with -Wall -Wextra -Werror; markdown links checked; tests passed tier1+tier2 plain, the examples ran clean plain and sanitized, at UKRAFT_QUEUES=4 with the RSS-scaling, fleet-scaling and persistence gates, perfbench_test and a correct udp-kv-4q perfbench smoke, and under ASan+UBSan with UKRAFT_QUEUES=2, incl. the blocking --wait, --eventloop, TCP --loss, fleet, persistence and 50x scheduler-teardown legs; TSan covered the sharded suites plus the counter, loss-pattern and fleet suites in fiber AND real-thread mode, and the scaling gate held on real threads)"
+echo "ci: OK (src/ built with -Wall -Wextra -Werror; markdown links checked; tests passed tier1+tier2 plain, the examples ran clean plain and sanitized, at UKRAFT_QUEUES=4 with the RSS-scaling, fleet-scaling and persistence gates, perfbench_test and correct udp-kv-4q, resp-pingpong and durable-restart perfbench smokes, and under ASan+UBSan with UKRAFT_QUEUES=2, incl. the blocking --wait, --eventloop, TCP --loss, fleet, persistence and 50x scheduler-teardown legs; TSan covered the sharded suites plus the counter, loss-pattern and fleet suites in fiber AND real-thread mode, and the scaling gate held on real threads)"

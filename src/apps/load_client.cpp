@@ -17,7 +17,7 @@ bool PipelinedClient::ConnectAll(const std::function<void()>& pump) {
     if (sock == nullptr) {
       return false;
     }
-    conns_.push_back(Conn{std::move(sock), {}, 0});
+    conns_.push_back(Conn{.sock = std::move(sock)});
   }
   for (int rounds = 0; rounds < 50000; ++rounds) {
     bool all = true;
@@ -39,19 +39,29 @@ std::size_t PipelinedClient::PumpOnce() {
     if (c.sock->failed()) {
       continue;
     }
-    // Keep the pipeline full: the whole top-up is encoded into the reused
-    // batch buffer and leaves in one send.
-    if (c.in_flight < pipeline_) {
-      batch_.clear();
-      int batched = 0;
-      while (c.in_flight + batched < pipeline_) {
-        AppendRequest(batch_);
-        ++batched;
+    // Keep the pipeline full: once the last batch is out, the whole top-up
+    // is encoded into the reused batch buffer and leaves in one send. A tail
+    // the socket did not take is resent first, so requests never interleave.
+    if (c.sent == c.batch.size() && c.in_flight < pipeline_) {
+      c.batch.clear();
+      c.sent = 0;
+      c.ends.clear();
+      c.ends_done = 0;
+      while (c.in_flight + static_cast<int>(c.ends.size()) < pipeline_) {
+        AppendRequest(c.batch);
+        c.ends.push_back(c.batch.size());
       }
+    }
+    if (c.sent < c.batch.size()) {
       std::int64_t n = c.sock->Send(std::span(
-          reinterpret_cast<const std::uint8_t*>(batch_.data()), batch_.size()));
-      if (n == static_cast<std::int64_t>(batch_.size())) {
-        c.in_flight += batched;
+          reinterpret_cast<const std::uint8_t*>(c.batch.data()) + c.sent,
+          c.batch.size() - c.sent));
+      if (n > 0) {
+        c.sent += static_cast<std::size_t>(n);
+      }
+      while (c.ends_done < c.ends.size() && c.ends[c.ends_done] <= c.sent) {
+        ++c.ends_done;
+        ++c.in_flight;
       }
     }
     for (;;) {
@@ -67,6 +77,20 @@ std::size_t PipelinedClient::PumpOnce() {
     done += got;
   }
   return done;
+}
+
+void PipelinedClient::SetBufferCaps(std::size_t send_cap, std::size_t recv_cap) {
+  for (Conn& c : conns_) {
+    c.sock->SetBufferCaps(send_cap, recv_cap);
+  }
+}
+
+std::int64_t PipelinedClient::in_flight() const {
+  std::int64_t total = 0;
+  for (const Conn& c : conns_) {
+    total += c.in_flight;
+  }
+  return total;
 }
 
 }  // namespace apps

@@ -413,7 +413,9 @@ void PosixApi::RegisterHandlers() {
     if (tcp == nullptr) {
       return Err(ukarch::Status::kBadF);
     }
-    net_->Poll();
+    // No stack pass here: a non-blocking reader's frames arrive through its
+    // multiplexer's pass (epoll_wait/poll), and a blocking reader drives the
+    // stack from WaitFdReady's PollWait only when the socket is empty.
     for (;;) {
       std::int64_t n = tcp->Recv(std::span(AsPtr<std::uint8_t>(a.a1), a.a2));
       if (n != Err(ukarch::Status::kAgain) || !ShouldBlock(fd)) {

@@ -421,6 +421,14 @@ void NetStack::RunTcpTimers() {
   }
 }
 
+void NetStack::FlushDelayedAcks(std::uint16_t queue) {
+  for (const auto& [key, conn] : *tcp_conns_.Read()) {
+    if (queue == kAllQueues || conn->tx_queue_ == queue) {
+      conn->FlushDelayedAck();
+    }
+  }
+}
+
 // ---- interrupt-driven idle ---------------------------------------------------------
 
 void NetStack::SetScheduler(uksched::Scheduler* sched) {
@@ -512,10 +520,10 @@ std::uint64_t NetStack::NextTimerDeadline() const {
       d = clock_->cycles() + rto_cycles;
     }
     if (conn->delack_pending_ && conn->delack_deadline_ < d) {
-      // An owed ACK bounds the sleep too. In practice the end-of-turn flush
-      // in RunTcpTimers pays the debt before any loop ever parks, but the
-      // deadline keeps the contract airtight for callers that block between
-      // RX and the timer pass.
+      // An owed ACK bounds the sleep too. PollWait flushes its loop's owed
+      // ACKs before it parks, so this only bounds sleeps that hold one: a
+      // pinned loop parked while another loop's connection owes an ACK, or
+      // a caller that blocks outside PollWait.
       d = conn->delack_deadline_;
     }
     earliest = std::min(earliest, d);
@@ -600,6 +608,9 @@ std::size_t NetStack::PollWait(std::uint16_t queue, std::uint64_t timeout_cycles
     if (handled > 0) {
       break;
     }
+    // A sleeping loop holds no owed ACK: the app had its turn and did not
+    // answer, so the ACK goes out bare before the park.
+    FlushDelayedAcks(queue);
     const std::uint64_t deadline = std::min(caller_deadline, NextTimerDeadline());
     ws.Add(&WaitStats::blocked_waits);
     // Parking is a quiescent state: every snapshot this turn read is done.

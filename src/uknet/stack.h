@@ -465,7 +465,7 @@ class TcpSocket : public SocketEventSource {
   void OnSegment(std::uint16_t rx_queue, const TcpHeader& hdr,
                  std::span<const std::uint8_t> payload);
   void Output();            // transmit what window + cwnd + buffer allow
-  void CheckTimer();        // RTO-based retransmission + delayed-ACK flush
+  void CheckTimer();        // RTO-based retransmission + read/deadline ACK flush
   // Re-sends the retained ranges overlapping [snd_una_, snd_nxt_) — the
   // whole window (go-back-N RTO) or just the first unacked segment (fast
   // retransmit). SACKed segments are skipped in both modes: the scoreboard
@@ -493,9 +493,10 @@ class TcpSocket : public SocketEventSource {
   void AppendRecv(std::span<const std::uint8_t> bytes);
   std::size_t RecvBuffered() const { return recv_buf_.size() - recv_head_; }
   // Delayed-ACK machinery: NoteAckOwed records that rcv_nxt_ advanced
-  // (flushing immediately past the 2*MSS coalescing budget); AckNow emits a
-  // pure ACK and clears the owed state; FlushDelayedAck is the end-of-turn /
-  // timer-deadline flush NetStack::RunTcpTimers drives.
+  // (flushing immediately past the 2*MSS coalescing budget or when the
+  // window falls below one MSS); AckNow emits a pure ACK and clears the owed
+  // state; FlushDelayedAck is the unconditional flush PollWait runs before
+  // it parks.
   void NoteAckOwed(std::size_t payload_bytes);
   void AckNow();
   void FlushDelayedAck();
@@ -609,10 +610,12 @@ class TcpSocket : public SocketEventSource {
 
   // ---- delayed ACK ---------------------------------------------------------
   // ACK-owing state: set when rcv_nxt_ advances without an immediate ACK.
-  // Flushed by the 2*MSS budget (RFC 1122 "at least every second segment"),
-  // by any segment we emit that carries the current ack, or — at the latest —
-  // by the end-of-turn pass in NetStack::RunTcpTimers. delack_deadline_ folds
-  // into NextTimerDeadline so a blocked PollWait still wakes to flush.
+  // Paid by the first of: any segment we emit (it carries the current ack,
+  // so a reply carries it), the 2*MSS budget (RFC 1122 "at least every
+  // second segment"), the receive window falling below one MSS, the first
+  // CheckTimer pass after the app has read every byte the ACK covers, a
+  // PollWait about to park, and delack_deadline_ (folded into
+  // NextTimerDeadline, so a loop blocked elsewhere still wakes to flush).
   bool delack_pending_ = false;
   std::size_t delack_bytes_ = 0;          // payload bytes since the last ACK
   std::uint64_t delack_deadline_ = 0;     // absolute cycles, valid when pending
@@ -784,8 +787,9 @@ class NetStack {
   std::uint32_t rto_backoff_cap = 64;
   // Delayed-ACK time bound (RFC 1122's 500ms cap analogue): an ACK owed at
   // cycle T is guaranteed on the wire by T + delack_cycles even if the owning
-  // loop sleeps — the deadline folds into NextTimerDeadline. In a polled loop
-  // the end-of-turn flush in RunTcpTimers almost always beats it.
+  // loop sleeps — the deadline folds into NextTimerDeadline. It only fires
+  // for data the app leaves unread: a reply, the first timer pass after the
+  // read, or a parking PollWait pays the debt first.
   std::uint64_t delack_cycles = 72'000'000;  // 20 ms at 3.6 GHz
   // Modern fast path (NewReno + SACK + delayed ACKs + wscale offers). Flip
   // off to get the pre-modernization stop-and-go stack: no TCP options
@@ -847,6 +851,9 @@ class NetStack {
   // TCP timer pass (RTO checks + TIME_WAIT reaping), shared by Poll and the
   // PollWait drain.
   void RunTcpTimers();
+  // Sends every owed delayed ACK of the connections |queue|'s loop owns (all
+  // of them for kAllQueues): PollWait runs it right before it parks.
+  void FlushDelayedAcks(std::uint16_t queue);
   // Wakes PollWait sleepers for |queue| (and any-queue waiters). Called from
   // NetIf's RX interrupt handler — wakeup-grade work only.
   void WakeRxWaiters(std::uint16_t queue);

@@ -11,9 +11,11 @@
 //  * rcv_nxt_ is the next expected byte; out-of-order segments queue in a
 //    bounded reassembly list (ooo_ranges_) that doubles as the SACK-block
 //    source, and drain into recv_buf_ when the hole fills
-//  * every receive that advances rcv_nxt_ owes the peer an ACK; the delayed
-//    ACK machinery bounds the debt to 2*MSS or one Poll/PollWait turn
-//    (RunTcpTimers flushes), whichever comes first.
+//  * every receive that advances rcv_nxt_ owes the peer an ACK; the owed ACK
+//    rides the next segment this socket sends (so a reply carries it), and
+//    is otherwise bounded by 2*MSS received, a receive window below one MSS,
+//    the first timer pass after the app has read every covered byte, a
+//    PollWait about to park, and delack_cycles — whichever comes first.
 // The whole modern fast path gates on NetStack::tcp_modern; with it off the
 // socket behaves like the pre-modernization stack (no options, no cwnd, an
 // ACK per in-order segment) so benches can measure the delta.
@@ -364,10 +366,15 @@ void TcpSocket::Output() {
 }
 
 void TcpSocket::CheckTimer() {
-  // End-of-turn delayed-ACK flush: RunTcpTimers calls here once per
-  // Poll/PollWait turn, so an ACK owed by the RX pass is on the wire before
-  // the loop sleeps — the coalescing window is one turn, never a stall.
-  FlushDelayedAck();
+  // Delayed-ACK flush for a receiver that does not answer. The timer pass
+  // that ends the RX pass delivering the data always finds it unread, so the
+  // ACK waits for the app's turn, where a reply carries it. Once the app has
+  // read every byte the ACK covers without sending, the next pass sends it
+  // bare; the deadline covers data nobody reads.
+  if (delack_pending_ &&
+      (RecvBuffered() == 0 || stack_->clock()->cycles() >= delack_deadline_)) {
+    AckNow();
+  }
   bool has_unacked = SeqLt(snd_una_, snd_nxt_);
   if (!has_unacked) {
     return;
@@ -699,8 +706,10 @@ void TcpSocket::NoteAckOwed(std::size_t payload_bytes) {
     delack_deadline_ = stack_->clock()->cycles() + stack_->delack_cycles;
   }
   delack_bytes_ += payload_bytes;
-  if (delack_bytes_ >= 2 * static_cast<std::size_t>(kMss)) {
-    AckNow();  // RFC 1122: an ACK at least every second full-sized segment
+  if (delack_bytes_ >= 2 * static_cast<std::size_t>(kMss) || RecvSpace() < kMss) {
+    // RFC 1122: an ACK at least every second full-sized segment; and a
+    // window below one MSS blocks the sender, which needs it now.
+    AckNow();
   } else {
     ++tcp_stats_.acks_coalesced;
   }

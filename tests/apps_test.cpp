@@ -151,6 +151,43 @@ TEST_F(RedisTest, BenchClientMeasuresThroughput) {
             static_cast<std::uint64_t>(cfg.connections * cfg.pipeline));
 }
 
+// A send buffer far smaller than one pipeline batch: the socket takes each
+// batch in parts. The client resends the unsent tail before it encodes new
+// requests, so the server sees every request whole and in order, and counts
+// a request in flight only once its last byte was accepted.
+TEST_F(RedisTest, BenchClientResendsPartiallyAcceptedBatch) {
+  RedisBenchClient::Config cfg;
+  cfg.connections = 1;
+  cfg.pipeline = 32;
+  cfg.use_set = true;
+  cfg.value_bytes = 200;  // a 32-request batch is ~7.5 KB
+  RedisBenchClient bench(bed_.client().stack.get(), env::TestBed::kServerIp, 6379, cfg);
+  ASSERT_TRUE(bench.ConnectAll([&] {
+    bed_.Poll();
+    server_.PumpOnce();
+  }));
+  bench.SetBufferCaps(2 * uknet::TcpSocket::kMss, uknet::TcpSocket::kRecvBufCap);
+  constexpr std::uint64_t kWant = 320;
+  for (int i = 0; i < 3000 && bench.replies() < kWant; ++i) {
+    bench.PumpOnce();
+    ASSERT_GE(bench.in_flight(), 0) << "pump " << i;
+    ASSERT_LE(bench.in_flight(), cfg.pipeline) << "pump " << i;
+    bed_.Poll();
+    server_.PumpOnce();
+  }
+  ASSERT_GE(bench.replies(), kWant);
+  // Every request the server ran was a whole SET of key:<seq> to the value.
+  const std::uint64_t ran = server_.commands_processed();
+  ASSERT_LT(ran, static_cast<std::uint64_t>(cfg.keyspace));
+  EXPECT_EQ(server_.store().size(), ran);
+  const std::string value(static_cast<std::size_t>(cfg.value_bytes), 'x');
+  for (std::uint64_t k = 0; k < ran; ++k) {
+    auto got = server_.store().Get("key:" + std::to_string(k));
+    ASSERT_TRUE(got.has_value()) << "key:" << k;
+    EXPECT_EQ(*got, value) << "key:" << k;
+  }
+}
+
 TEST_F(RedisTest, ValueStoreUsesInstanceAllocator) {
   std::uint64_t used_before = bed_.server().alloc->stats().bytes_in_use;
   auto sock = bed_.client().stack->TcpConnect(env::TestBed::kServerIp, 6379);
@@ -325,6 +362,65 @@ TEST(StreamServerTest, HandlerClosesOwnSiblingAndForeignConnections) {
   EXPECT_TRUE(x->peer_closed());
   EXPECT_TRUE(y->peer_closed());
   EXPECT_TRUE(z->peer_closed());
+}
+
+// A reply carries its ACK. Once warm, each request/reply round over
+// StreamServer puts exactly two frames on the wire, the request and the
+// reply, and neither end sends a pure ACK: the server's owed ACK waits
+// through the stack passes that run before the app reads and rides the
+// reply, and the client's ACK for the reply rides its next request.
+TEST(StreamServerTest, ReplyCarriesTheAck) {
+  env::TestBed bed(env::Profile::UnikraftKvm());
+  EventLoop loop(&bed.api());
+  int server_fd = -1;
+  StreamServer::Handler h;
+  h.on_open = [&](StreamServer::Conn& c) { server_fd = c.fd; };
+  h.on_data = [](StreamServer::Conn& c, std::string_view data) { c.out.append(data); };
+  StreamServer server(&bed.api(), &loop, h);
+  ASSERT_TRUE(server.Listen(9000));
+  auto client = bed.client().stack->TcpConnect(env::TestBed::kServerIp, 9000);
+  for (int i = 0; i < 300 && server_fd < 0; ++i) {
+    bed.Poll();
+    loop.PumpOnce();
+  }
+  ASSERT_TRUE(client->connected());
+  auto server_sock = bed.api().fdtab().Get<uknet::TcpSocket>(server_fd);
+  ASSERT_NE(server_sock, nullptr);
+
+  const std::string request = "ping";
+  auto round = [&] {
+    ASSERT_EQ(client->Send(std::span(
+                  reinterpret_cast<const std::uint8_t*>(request.data()),
+                  request.size())),
+              static_cast<std::int64_t>(request.size()));
+    std::uint8_t buf[16];
+    std::int64_t got = 0;
+    for (int i = 0; i < 100 && got == 0; ++i) {
+      bed.Poll();
+      loop.PumpOnce();
+      got = client->Recv(buf);
+      got = got < 0 ? 0 : got;
+    }
+    ASSERT_EQ(got, static_cast<std::int64_t>(request.size()));
+  };
+  for (int r = 0; r < 4; ++r) {
+    round();  // warm-up: ARP resolved, handshake ACK paid
+  }
+  const std::uint64_t frames_before = bed.wire().frames_sent();
+  const auto client_before = client->tcp_stats();
+  const auto server_before = server_sock->tcp_stats();
+  constexpr int kRounds = 8;
+  for (int r = 0; r < kRounds; ++r) {
+    round();
+  }
+  EXPECT_EQ(bed.wire().frames_sent() - frames_before, 2u * kRounds);
+  EXPECT_EQ(client->tcp_stats().pure_acks_sent, client_before.pure_acks_sent);
+  EXPECT_EQ(server_sock->tcp_stats().pure_acks_sent, server_before.pure_acks_sent);
+  EXPECT_EQ(client->tcp_stats().data_segments_sent - client_before.data_segments_sent,
+            static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(server_sock->tcp_stats().data_segments_sent -
+                server_before.data_segments_sent,
+            static_cast<std::uint64_t>(kRounds));
 }
 
 // ---- B+tree -----------------------------------------------------------------------------

@@ -225,6 +225,39 @@ TEST_F(PosixApiTest, TcpServerAcceptThroughApi) {
   EXPECT_EQ(buf[0], 'h');
 }
 
+// Non-blocking TCP reads never drive the stack: a recv on an empty socket
+// returns EAGAIN and leaves a frame already on its way untouched; the data
+// arrives through the next stack pass.
+TEST_F(PosixApiTest, NonBlockingTcpRecvRunsNoStackPass) {
+  posix::PosixApi& api = bed_.api();
+  int fd = api.Socket(SockType::kStream);
+  ASSERT_EQ(api.Bind(fd, 8081), 0);
+  ASSERT_EQ(api.Listen(fd), 0);
+  auto client = bed_.client().stack->TcpConnect(env::TestBed::kServerIp, 8081);
+  for (int i = 0; i < 200 && !client->connected(); ++i) {
+    bed_.Poll();
+  }
+  int conn = api.Accept(fd);
+  ASSERT_GE(conn, 3);
+  for (int i = 0; i < 10; ++i) {
+    bed_.Poll();  // settle the handshake's trailing frames
+  }
+  std::uint8_t buf[16];
+  const auto rx_before = bed_.server().nic->stats().rx_packets;
+  EXPECT_EQ(api.Recv(conn, buf), -11);  // EAGAIN, nothing received yet
+
+  std::uint8_t msg[] = {'h', 'i'};
+  ASSERT_EQ(client->Send(msg), 2);
+  EXPECT_EQ(api.Recv(conn, buf), -11);  // the segment is on the wire, unreceived
+  EXPECT_EQ(api.Recv(conn, buf), -11);
+  EXPECT_EQ(bed_.server().nic->stats().rx_packets, rx_before);
+
+  bed_.server().stack->Poll();
+  EXPECT_EQ(bed_.server().nic->stats().rx_packets, rx_before + 1);
+  EXPECT_EQ(api.Recv(conn, buf), 2);
+  EXPECT_EQ(buf[0], 'h');
+}
+
 TEST_F(PosixApiTest, BatchedMmsgFewerSyscalls) {
   posix::PosixApi& api = bed_.api();
   int fd = api.Socket(SockType::kDgram);

@@ -16,8 +16,10 @@
 //    the next hole;
 //  * the RTO backs off exponentially, resets on forward progress, and its
 //    go-back-N re-burst skips SACKed segments;
-//  * the receiver coalesces ACKs to one per 2*MSS within a burst and flushes
-//    the remainder at end-of-turn;
+//  * the receiver coalesces ACKs to one per 2*MSS within a burst, holds the
+//    rest while the app has not read it, and otherwise sends it on the first
+//    pass after the read, when the window falls below one MSS, before a
+//    PollWait parks, or at the delayed-ACK deadline;
 //  * out-of-order arrivals are queued for reassembly and advertised as
 //    ascending SACK blocks on immediate dup ACKs;
 //  * a negotiated window scale sustains more than 64 KiB in flight on a
@@ -33,6 +35,7 @@
 #include "ukalloc/registry.h"
 #include "uknet/stack.h"
 #include "uknetdev/virtio_net.h"
+#include "uksched/scheduler.h"
 
 namespace {
 
@@ -443,8 +446,9 @@ TEST_F(TcpLossTest, RtoReburstSkipsSackedSegments) {
 // ---- delayed ACKs (receiver side) --------------------------------------------------
 
 // A four-segment burst processed in one Poll turn elicits exactly two ACKs:
-// one per 2*MSS. A lone trailing segment still gets its ACK the same turn
-// (the end-of-turn flush), so the wire never goes quiet.
+// one per 2*MSS. A lone trailing segment's ACK waits for the app: no pass
+// sends it while the data sits unread, and the first pass after the app has
+// read every byte sends exactly one.
 TEST_F(TcpLossTest, DelayedAckCoalescesBurstToOnePerTwoMss) {
   auto client = host_.stack->TcpConnect(peer_.ip, 80);
   ASSERT_NE(client, nullptr);
@@ -468,20 +472,129 @@ TEST_F(TcpLossTest, DelayedAckCoalescesBurstToOnePerTwoMss) {
   EXPECT_EQ(client->tcp_stats().acks_coalesced - before.acks_coalesced, 2u);
   EXPECT_EQ(client->tcp_stats().pure_acks_sent - before.pure_acks_sent, 2u);
 
-  // A lone segment: owed, then flushed by the same turn's timer pass.
+  // A lone segment: owed, and held through every pass while it is unread.
   peer_.segs.clear();
+  before = client->tcp_stats();
   peer_.SendTcp(80, client->local_port(), kTcpAck, 1001 + 4 * kMss, 0, 65535,
                 std::span(data.data(), kMss));
-  Pump(1);
-  acks = PureAcks(peer_);
-  ASSERT_EQ(acks.size(), 1u);
-  EXPECT_EQ(acks[0]->hdr.ack, 1001 + 5 * kMss);
+  Pump();
+  EXPECT_TRUE(PureAcks(peer_).empty());
+  EXPECT_EQ(client->tcp_stats().acks_coalesced - before.acks_coalesced, 1u);
+  EXPECT_EQ(client->tcp_stats().pure_acks_sent, before.pure_acks_sent);
 
   // All five segments are readable, in order.
   std::vector<std::uint8_t> got(5 * kMss);
   ASSERT_EQ(client->Recv(got), static_cast<std::int64_t>(5 * kMss));
   EXPECT_TRUE(std::equal(got.begin(), got.begin() + 4 * kMss, data.begin()));
   EXPECT_TRUE(std::equal(got.begin() + 4 * kMss, got.end(), data.begin()));
+
+  // The read drained the buffer: the very next pass sends the one ACK.
+  Pump(1);
+  acks = PureAcks(peer_);
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_EQ(acks[0]->hdr.ack, 1001 + 5 * kMss);
+  EXPECT_EQ(client->tcp_stats().pure_acks_sent - before.pure_acks_sent, 1u);
+}
+
+// The owed ACK covers every byte received so far, so a partial read does not
+// release it: the passes after it still hold the ACK. The pass right after
+// the read that empties the buffer sends exactly one, and nothing follows.
+TEST_F(TcpLossTest, UnansweredReaderAcksOnFirstPassAfterDrainingRead) {
+  auto client = host_.stack->TcpConnect(peer_.ip, 80);
+  ASSERT_NE(client, nullptr);
+  ModernHandshake(client, 80);
+  peer_.segs.clear();
+  const auto before = client->tcp_stats();
+  auto data = Pattern(1000, /*salt=*/5);
+  peer_.SendTcp(80, client->local_port(), kTcpAck, 1001, 0, 65535, data);
+  Pump();
+  EXPECT_TRUE(PureAcks(peer_).empty());
+
+  std::uint8_t buf[600];
+  ASSERT_EQ(client->Recv(buf), 600);
+  Pump();
+  EXPECT_TRUE(PureAcks(peer_).empty()) << "ACK sent with 400 bytes unread";
+
+  ASSERT_EQ(client->Recv(buf), 400);
+  Pump(1);
+  auto acks = PureAcks(peer_);
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_EQ(acks[0]->hdr.ack, 1001u + 1000u);
+  Pump();
+  EXPECT_EQ(PureAcks(peer_).size(), 1u);
+  EXPECT_EQ(client->tcp_stats().pure_acks_sent - before.pure_acks_sent, 1u);
+  EXPECT_EQ(client->tcp_stats().acks_coalesced - before.acks_coalesced, 1u);
+}
+
+// A receive window below one MSS blocks the sender, so the arrival that
+// shrinks it is ACKed in the same pass even though the app has read nothing
+// and less than 2*MSS arrived.
+TEST_F(TcpLossTest, WindowBelowOneMssAcksAtOnce) {
+  auto client = host_.stack->TcpConnect(peer_.ip, 80);
+  ASSERT_NE(client, nullptr);
+  client->SetBufferCaps(TcpSocket::kSendBufCap, 2 * kMss);
+  ModernHandshake(client, 80);
+  peer_.segs.clear();
+  auto data = Pattern(1600, /*salt=*/9);
+  peer_.SendTcp(80, client->local_port(), kTcpAck, 1001, 0, 65535,
+                std::span(data.data(), 800));
+  Pump();
+  EXPECT_TRUE(PureAcks(peer_).empty());  // 2000 bytes of window left
+
+  peer_.SendTcp(80, client->local_port(), kTcpAck, 1001 + 800, 0, 65535,
+                std::span(data.data() + 800, 800));
+  Pump(1);
+  auto acks = PureAcks(peer_);
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_EQ(acks[0]->hdr.ack, 1001u + 1600u);
+  EXPECT_EQ(acks[0]->hdr.window, 2 * kMss - 1600);
+}
+
+// Unread data is ACKed at the delayed-ACK deadline, not before.
+TEST_F(TcpLossTest, DelayedAckDeadlineAcksUnreadData) {
+  auto client = host_.stack->TcpConnect(peer_.ip, 80);
+  ASSERT_NE(client, nullptr);
+  ModernHandshake(client, 80);
+  peer_.segs.clear();
+  auto data = Pattern(500);
+  peer_.SendTcp(80, client->local_port(), kTcpAck, 1001, 0, 65535, data);
+  Pump();
+  clock_.Charge(host_.stack->delack_cycles / 2);
+  Pump();
+  EXPECT_TRUE(PureAcks(peer_).empty());
+
+  clock_.Charge(host_.stack->delack_cycles / 2);
+  Pump(1);
+  auto acks = PureAcks(peer_);
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_EQ(acks[0]->hdr.ack, 1001u + 500u);
+}
+
+// A loop never parks holding an owed ACK: PollWait's drains leave the unread
+// data's ACK owed, and the park sends it — one pure ACK, one blocked wait.
+TEST_F(TcpLossTest, PollWaitSendsOwedAckBeforeParking) {
+  auto client = host_.stack->TcpConnect(peer_.ip, 80);
+  ASSERT_NE(client, nullptr);
+  ModernHandshake(client, 80);
+  peer_.segs.clear();
+  auto data = Pattern(500);
+  peer_.SendTcp(80, client->local_port(), kTcpAck, 1001, 0, 65535, data);
+  Pump();
+  ASSERT_TRUE(PureAcks(peer_).empty());
+
+  auto sched = uksched::MakeScheduler(host_.alloc.get(), &clock_);
+  host_.stack->SetScheduler(sched.get());
+  std::size_t handled = 99;
+  sched->CreateThread("loop", [&] {
+    handled = host_.stack->PollWait(NetStack::kAllQueues, /*timeout_cycles=*/1000);
+  });
+  EXPECT_EQ(sched->Run(), 0u);
+  EXPECT_EQ(handled, 0u);
+  EXPECT_EQ(host_.stack->wait_stats().blocked_waits, 1u);
+  peer_.Poll();
+  auto acks = PureAcks(peer_);
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_EQ(acks[0]->hdr.ack, 1001u + 500u);
 }
 
 // A retransmission of already-delivered data is re-ACKed immediately — never
