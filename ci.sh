@@ -103,6 +103,21 @@ for PERFBENCH_WORKLOAD in udp-kv-4q resp-pingpong durable-restart; do
     exit 1
   fi
 done
+# Durable write amplification: a traced durable-restart run must write at
+# most 3 device bytes per acknowledged user byte. The floor is ~2 (the AOF and
+# the snapshot each carry every SET); BlockFs metadata and read-modify-write
+# traffic is what pushes it above that.
+PERFBENCH_LAST="$(python3 perfbench/run.py --workload durable-restart --seed 1 \
+  --seconds 2 --trace 1 | tail -n 1)"
+if ! printf '%s' "$PERFBENCH_LAST" | python3 -c '
+import json, sys
+d = json.loads(sys.stdin.read())
+w = d["metrics"]["ukblockdev.write_bytes_per_user_byte"]["value"]
+print(f"ci: durable-restart writes {w:.2f} device bytes per user byte (<= 3.0)")
+sys.exit(0 if d["correct"] and w <= 3.0 else 1)'; then
+  echo "ci: durable-restart write amplification over 3.0: $PERFBENCH_LAST" >&2
+  exit 1
+fi
 
 # Fleet scaling gate: churn through the L4 balancer must reach >=3x the
 # 1-backend rate at 4 backends with zero aborted connections, and the
@@ -213,4 +228,4 @@ UKRAFT_THREADS=real "$TSAN_BUILD_DIR"/fleet_test
 # (emits BENCH_rss_scaling_threads.json next to the fiber-mode trendline).
 (cd "$BUILD_DIR" && UKRAFT_THREADS=real ./bench_fig_rss_scaling --threads)
 
-echo "ci: OK (src/ built with -Wall -Wextra -Werror; markdown links checked; tests passed tier1+tier2 plain, the examples ran clean plain and sanitized, at UKRAFT_QUEUES=4 with the RSS-scaling, fleet-scaling and persistence gates, perfbench_test and correct udp-kv-4q, resp-pingpong and durable-restart perfbench smokes, and under ASan+UBSan with UKRAFT_QUEUES=2, incl. the blocking --wait, --eventloop, TCP --loss, fleet, persistence and 50x scheduler-teardown legs; TSan covered the sharded suites plus the counter, loss-pattern and fleet suites in fiber AND real-thread mode, and the scaling gate held on real threads)"
+echo "ci: OK (src/ built with -Wall -Wextra -Werror; markdown links checked; tests passed tier1+tier2 plain, the examples ran clean plain and sanitized, at UKRAFT_QUEUES=4 with the RSS-scaling, fleet-scaling and persistence gates, perfbench_test and correct udp-kv-4q, resp-pingpong and durable-restart perfbench smokes with durable write amplification <= 3, and under ASan+UBSan with UKRAFT_QUEUES=2, incl. the blocking --wait, --eventloop, TCP --loss, fleet, persistence and 50x scheduler-teardown legs; TSan covered the sharded suites plus the counter, loss-pattern and fleet suites in fiber AND real-thread mode, and the scaling gate held on real threads)"

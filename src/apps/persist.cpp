@@ -338,11 +338,16 @@ bool Persist::BeginSaveLocked() {
 }
 
 std::size_t Persist::AdvanceSaveLocked(std::size_t budget) {
+  // The turn's records collect in |record| and reach the file in one write:
+  // at the end of the turn, with the trailer when the save finishes, or
+  // whenever the buffer holds a chunk (so SaveNow's unbounded budget never
+  // buffers the whole image).
   std::size_t written = 0;
+  save_.record.clear();
   while (save_.active) {
     if (save_.cur_shard >= save_.keys.size()) {
       FinishSaveLocked();
-      break;
+      return written;
     }
     std::vector<std::string>& keys = save_.keys[save_.cur_shard];
     if (save_.cursor >= keys.size()) {
@@ -355,6 +360,10 @@ std::size_t Persist::AdvanceSaveLocked(std::size_t budget) {
     // the only way a turn can exceed snapshot_chunk_bytes).
     if (written >= budget) {
       break;
+    }
+    if (save_.record.size() >= config_.snapshot_chunk_bytes &&
+        !WriteSaveRecordLocked()) {
+      return written;
     }
     const std::uint16_t shard = save_.cur_shard;
     const std::string& key = keys[save_.cursor++];
@@ -378,31 +387,39 @@ std::size_t Persist::AdvanceSaveLocked(std::size_t budget) {
     if (!have) {
       continue;
     }
-    save_.record.clear();
+    const std::size_t start = save_.record.size();
     PutU16(save_.record, shard);
     PutU32(save_.record, static_cast<std::uint32_t>(key.size()));
     PutU32(save_.record, static_cast<std::uint32_t>(value.size()));
     save_.record.append(key);
     save_.record.append(value);
-    save_.crc.Update(save_.record.data(), save_.record.size());
-    if (!WriteAll(save_.file.get(), save_.record)) {
-      ++stats_.io_errors;
-      AbortSaveLocked();
-      break;
-    }
+    save_.crc.Update(save_.record.data() + start, save_.record.size() - start);
     if (dirty_it != save_.dirty[shard].end()) {
       save_.dirty[shard].erase(dirty_it);
     }
-    written += save_.record.size();
+    written += save_.record.size() - start;
     ++save_.keys_written;
+  }
+  if (save_.active) {
+    WriteSaveRecordLocked();
   }
   return written;
 }
 
+bool Persist::WriteSaveRecordLocked() {
+  if (!WriteAll(save_.file.get(), save_.record)) {
+    ++stats_.io_errors;
+    AbortSaveLocked();
+    return false;
+  }
+  save_.record.clear();
+  return true;
+}
+
 void Persist::FinishSaveLocked() {
   // Commit: the CRC trailer is what makes the file valid — a crash any time
-  // before this write leaves a rejectable file and recovery falls back.
-  save_.record.clear();
+  // before this write leaves a rejectable file and recovery falls back. It
+  // goes out in one write with the records still buffered.
   PutU32(save_.record, save_.crc.value());
   bool ok = WriteAll(save_.file.get(), save_.record);
   if (ok) {

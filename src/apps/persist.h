@@ -193,7 +193,7 @@ class Persist {
     std::vector<std::vector<std::string>> keys;  // per shard, capture order
     std::vector<SvSet> pending;
     std::vector<SvMap<std::string>> dirty;
-    std::string record;  // reused record scratch
+    std::string record;  // buffered records of the turn, reused
   };
 
   std::string AofPath(std::uint32_t seg, std::uint16_t shard) const;
@@ -204,9 +204,11 @@ class Persist {
   // needed). Caller holds |mu_|.
   void FlushShardLocked(std::uint16_t shard, std::size_t* turn_bytes);
   bool FsyncShardLocked(std::uint16_t shard);
-  // Emits up to |budget| snapshot bytes; finishes + commits when the cursor
-  // completes. Caller holds |mu_|. Returns bytes written.
+  // Emits up to |budget| snapshot bytes in one file write; finishes + commits
+  // when the cursor completes. Caller holds |mu_|. Returns bytes written.
   std::size_t AdvanceSaveLocked(std::size_t budget);
+  // Writes the buffered records; on failure aborts the save and returns false.
+  bool WriteSaveRecordLocked();
   bool BeginSaveLocked();
   void FinishSaveLocked();
   void AbortSaveLocked();

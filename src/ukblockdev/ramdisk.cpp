@@ -33,20 +33,19 @@ std::int32_t RamDisk::Execute(Request* req) {
 }
 
 bool RamDisk::Submit(Request* req) {
-  req->result = Execute(req);
-  // Completion is deferred to ProcessCompletions to preserve the async shape.
-  completed_.push_back(req);
+  // Executed now, but the result is published by ProcessCompletions to
+  // preserve the async shape: until then the request stays pending, so the
+  // submitter reaps it and no entry outlives its request.
+  completed_.push_back(Completion{req, Execute(req)});
   return true;
 }
 
 std::size_t RamDisk::ProcessCompletions(std::size_t max) {
   std::size_t n = 0;
   while (n < max && !completed_.empty()) {
-    Request* req = completed_.front();
+    const Completion c = completed_.front();
     completed_.pop_front();
-    std::int32_t result = req->result;
-    req->result = Request::kPending;  // Complete() sets the final value
-    Complete(req, result);
+    Complete(c.req, c.result);
     ++n;
   }
   return n;

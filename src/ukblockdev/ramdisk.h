@@ -31,12 +31,17 @@ class RamDisk final : public BlockDev {
   std::uint64_t flushes() const { return flushes_; }
 
  private:
+  struct Completion {
+    Request* req;
+    std::int32_t result;
+  };
+
   std::int32_t Execute(Request* req);
 
   ukplat::MemRegion* guest_mem_;
   Geometry geom_;
   std::vector<std::uint8_t> disk_;
-  std::deque<Request*> completed_;
+  std::deque<Completion> completed_;
   std::uint64_t flushes_ = 0;
 };
 

@@ -1,6 +1,8 @@
 #include "vfscore/blockfs.h"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 namespace vfscore {
 
@@ -56,61 +58,84 @@ class BlockFsDir final : public Node {
 // ---- BlockFs: device plumbing ----------------------------------------------
 
 BlockFs::BlockFs(ukblockdev::BlockDev* dev, ukplat::MemRegion* mem)
-    : dev_(dev), mem_(mem), bounce_gpa_(mem->Carve(kBlockBytes, 512)) {
+    : dev_(dev), bounce_gpa_(mem->Carve(kBlockBytes, 512)) {
+  if (bounce_gpa_ != ukplat::MemRegion::kBadGpa) {
+    bounce_ = mem->At(bounce_gpa_, kBlockBytes);
+  }
   const ukblockdev::Geometry geom = dev_->geometry();
   if (geom.sector_bytes != 0 && kBlockBytes % geom.sector_bytes == 0) {
+    sector_bytes_ = geom.sector_bytes;
     sectors_per_block_ = kBlockBytes / geom.sector_bytes;
     total_blocks_ = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(geom.TotalBytes() / kBlockBytes, kBlockBytes));
   }
 }
 
-ukarch::Status BlockFs::ReadBlock(std::uint32_t block, void* out) {
+ukarch::Status BlockFs::Transfer(ukblockdev::Request::Op op, std::uint32_t block,
+                                 std::uint32_t first, std::uint32_t count) {
   ukblockdev::Request req;
-  req.op = ukblockdev::Request::Op::kRead;
-  req.sector = std::uint64_t{block} * sectors_per_block_;
-  req.count = sectors_per_block_;
-  req.data_gpa = bounce_gpa_;
-  if (ukblockdev::SubmitAndWait(*dev_, &req) != 0) {
-    return ukarch::Status::kIo;
-  }
-  const std::byte* p = mem_->At(bounce_gpa_, kBlockBytes);
-  if (p == nullptr) {
-    return ukarch::Status::kFault;
-  }
-  std::memcpy(out, p, kBlockBytes);
-  return ukarch::Status::kOk;
-}
-
-ukarch::Status BlockFs::WriteBlock(std::uint32_t block, const void* in) {
-  std::byte* p = mem_->At(bounce_gpa_, kBlockBytes);
-  if (p == nullptr) {
-    return ukarch::Status::kFault;
-  }
-  std::memcpy(p, in, kBlockBytes);
-  ukblockdev::Request req;
-  req.op = ukblockdev::Request::Op::kWrite;
-  req.sector = std::uint64_t{block} * sectors_per_block_;
-  req.count = sectors_per_block_;
-  req.data_gpa = bounce_gpa_;
+  req.op = op;
+  req.sector = std::uint64_t{block} * sectors_per_block_ + first;
+  req.count = count;
+  req.data_gpa = bounce_gpa_ + std::uint64_t{first} * sector_bytes_;
   return ukblockdev::SubmitAndWait(*dev_, &req) == 0 ? ukarch::Status::kOk
                                                      : ukarch::Status::kIo;
+}
+
+ukarch::Status BlockFs::ReadBytes(std::uint32_t block, std::uint32_t at,
+                                  std::size_t n, void* out) {
+  const std::uint32_t first = at / sector_bytes_;
+  const auto end =
+      static_cast<std::uint32_t>((at + n + sector_bytes_ - 1) / sector_bytes_);
+  ukarch::Status st = Transfer(ukblockdev::Request::Op::kRead, block, first,
+                               end - first);
+  if (Ok(st)) {
+    std::memcpy(out, bounce_ + at, n);
+  }
+  return st;
+}
+
+ukarch::Status BlockFs::WriteBytes(std::uint32_t block, std::uint32_t at,
+                                   std::size_t n, const void* in, bool fresh) {
+  std::uint32_t first = 0;
+  std::uint32_t end = sectors_per_block_;
+  if (fresh) {
+    std::memset(bounce_, 0, kBlockBytes);
+  } else {
+    first = at / sector_bytes_;
+    end = static_cast<std::uint32_t>((at + n + sector_bytes_ - 1) / sector_bytes_);
+    const bool head = at % sector_bytes_ != 0;
+    const bool tail = (at + n) % sector_bytes_ != 0 && (end - 1 != first || !head);
+    ukarch::Status st = ukarch::Status::kOk;
+    if (head) {
+      st = Transfer(ukblockdev::Request::Op::kRead, block, first, 1);
+    }
+    if (Ok(st) && tail) {
+      st = Transfer(ukblockdev::Request::Op::kRead, block, end - 1, 1);
+    }
+    if (!Ok(st)) {
+      return st;
+    }
+  }
+  if (in != nullptr) {
+    std::memcpy(bounce_ + at, in, n);
+  } else {
+    std::memset(bounce_ + at, 0, n);
+  }
+  return Transfer(ukblockdev::Request::Op::kWrite, block, first, end - first);
 }
 
 ukarch::Status BlockFs::Flush() {
   if (!mounted_) {
     return ukarch::Status::kInval;
   }
-  ukblockdev::Request req;
-  req.op = ukblockdev::Request::Op::kFlush;
-  return ukblockdev::SubmitAndWait(*dev_, &req) == 0 ? ukarch::Status::kOk
-                                                     : ukarch::Status::kIo;
+  return Transfer(ukblockdev::Request::Op::kFlush, 0, 0, 0);
 }
 
 // ---- BlockFs: format / mount ------------------------------------------------
 
 ukarch::Status BlockFs::Format() {
-  if (bounce_gpa_ == ukplat::MemRegion::kBadGpa || sectors_per_block_ == 0 ||
+  if (bounce_ == nullptr || sectors_per_block_ == 0 ||
       total_blocks_ <= kDataStart) {
     return ukarch::Status::kInval;
   }
@@ -150,7 +175,7 @@ ukarch::Status BlockFs::Format() {
 }
 
 ukarch::Status BlockFs::EnsureFormatted() {
-  if (bounce_gpa_ == ukplat::MemRegion::kBadGpa || sectors_per_block_ == 0 ||
+  if (bounce_ == nullptr || sectors_per_block_ == 0 ||
       total_blocks_ <= kDataStart) {
     return ukarch::Status::kInval;
   }
@@ -170,7 +195,7 @@ ukarch::Status BlockFs::EnsureFormatted() {
 
 ukarch::Status BlockFs::Mount(std::shared_ptr<Node>* root) {
   if (!mounted_) {
-    if (bounce_gpa_ == ukplat::MemRegion::kBadGpa || sectors_per_block_ == 0 ||
+    if (bounce_ == nullptr || sectors_per_block_ == 0 ||
         total_blocks_ <= kDataStart) {
       return ukarch::Status::kInval;
     }
@@ -188,43 +213,46 @@ ukarch::Status BlockFs::Mount(std::shared_ptr<Node>* root) {
     }
     total_blocks_ = super.total_blocks;
 
-    st = ReadBlock(kBitmapBlock, block.data());
+    bitmap_.assign(kBlockBytes, 0);
+    st = ReadBlock(kBitmapBlock, bitmap_.data());
     if (!Ok(st)) {
       return st;
     }
-    bitmap_.assign(block.begin(), block.end());
-
     inodes_.assign(kMaxInodes, Inode{});
     for (std::uint32_t b = 0; b < kInodeBlocks; ++b) {
-      st = ReadBlock(kInodeStart + b, block.data());
+      st = ReadBlock(kInodeStart + b,
+                     inodes_.data() + b * (kBlockBytes / sizeof(Inode)));
       if (!Ok(st)) {
         return st;
       }
-      std::memcpy(inodes_.data() + b * (kBlockBytes / sizeof(Inode)),
-                  block.data(), kBlockBytes);
     }
+    for (const Inode& ino : inodes_) {
+      if (ino.used != 0 && !Sane(ino)) {
+        return ukarch::Status::kInval;
+      }
+    }
+    indirect_.assign(kMaxInodes, {});
+    pending_ = Pending{};
     mounted_ = true;
   }
   *root = std::make_shared<BlockFsDir>(this);
   return ukarch::Status::kOk;
 }
 
-// ---- BlockFs: metadata write-through ---------------------------------------
+// ---- BlockFs: metadata caches ----------------------------------------------
 
-ukarch::Status BlockFs::WriteInode(std::uint32_t idx) {
-  const std::uint32_t per_block = kBlockBytes / sizeof(Inode);
-  const std::uint32_t block = kInodeStart + idx / per_block;
-  return WriteBlock(block, inodes_.data() + (idx / per_block) * per_block);
-}
-
-ukarch::Status BlockFs::WriteBitmap() {
-  return WriteBlock(kBitmapBlock, bitmap_.data());
+bool BlockFs::Sane(const Inode& ino) const {
+  return ino.name_len <= kNameMax && ino.size <= kMaxFileBytes &&
+         ValidPtr(ino.indirect) &&
+         std::all_of(std::begin(ino.direct), std::end(ino.direct),
+                     [this](std::uint32_t b) { return ValidPtr(b); });
 }
 
 std::uint32_t BlockFs::AllocBlock() {
   for (std::uint32_t b = kDataStart; b < total_blocks_; ++b) {
     if (bitmap_[b] == 0) {
       bitmap_[b] = 1;
+      pending_.bitmap.Mark(b, 1);
       return b;
     }
   }
@@ -234,6 +262,7 @@ std::uint32_t BlockFs::AllocBlock() {
 void BlockFs::FreeBlock(std::uint32_t block) {
   if (block >= kDataStart && block < total_blocks_) {
     bitmap_[block] = 0;
+    pending_.bitmap.Mark(block, 1);
   }
 }
 
@@ -245,97 +274,121 @@ std::uint32_t BlockFs::free_blocks() const {
   return n;
 }
 
-std::uint32_t BlockFs::GetPtr(const Inode& ino, std::uint32_t pos) {
+ukarch::Status BlockFs::Slot(std::uint32_t idx, std::uint32_t pos, bool alloc,
+                             std::uint32_t** slot) {
+  Inode& ino = inodes_[idx];
   if (pos < kDirectPtrs) {
-    return ino.direct[pos];
+    *slot = &ino.direct[pos];
+    return ukarch::Status::kOk;
   }
-  if (ino.indirect == 0 || pos >= kDirectPtrs + kIndirectPtrs) {
-    return 0;
-  }
-  std::uint32_t ptrs[kIndirectPtrs];
-  if (!Ok(ReadBlock(ino.indirect, ptrs))) {
-    return 0;
-  }
-  return ptrs[pos - kDirectPtrs];
-}
-
-ukarch::Status BlockFs::SetPtr(std::uint32_t inode_idx, std::uint32_t pos,
-                               std::uint32_t block) {
-  Inode& ino = inodes_[inode_idx];
-  if (pos < kDirectPtrs) {
-    ino.direct[pos] = block;
-    return WriteInode(inode_idx);
-  }
+  *slot = nullptr;
   if (pos >= kDirectPtrs + kIndirectPtrs) {
     return ukarch::Status::kNoSpc;
   }
-  if (ino.indirect == 0) {
+  std::vector<std::uint32_t>& ptrs = indirect_[idx];
+  if (ptrs.empty() && ino.indirect != 0) {
+    ptrs.resize(kIndirectPtrs);
+    if (!Ok(ReadBlock(ino.indirect, ptrs.data())) ||
+        !std::all_of(ptrs.begin(), ptrs.end(),
+                     [this](std::uint32_t b) { return ValidPtr(b); })) {
+      ptrs.clear();
+      return ukarch::Status::kIo;
+    }
+  } else if (ptrs.empty()) {
+    if (!alloc) {
+      return ukarch::Status::kOk;  // no indirect block: a hole
+    }
     const std::uint32_t ind = AllocBlock();
     if (ind == 0) {
       return ukarch::Status::kNoSpc;
     }
-    std::uint32_t zero[kIndirectPtrs] = {};
-    ukarch::Status st = WriteBlock(ind, zero);
-    if (!Ok(st)) {
-      return st;
-    }
     ino.indirect = ind;
-    st = WriteInode(inode_idx);
-    if (!Ok(st)) {
-      return st;
-    }
-    st = WriteBitmap();
-    if (!Ok(st)) {
-      return st;
-    }
+    ptrs.assign(kIndirectPtrs, 0);
+    pending_.indirect.Mark(0, kBlockBytes);  // a reused block: write it whole
+    pending_.inode = true;
   }
-  std::uint32_t ptrs[kIndirectPtrs];
-  ukarch::Status st = ReadBlock(ino.indirect, ptrs);
+  *slot = &ptrs[pos - kDirectPtrs];
+  return ukarch::Status::kOk;
+}
+
+void BlockFs::SetSlot(std::uint32_t pos, std::uint32_t* slot, std::uint32_t block) {
+  *slot = block;
+  if (pos < kDirectPtrs) {
+    pending_.inode = true;
+  } else {
+    pending_.indirect.Mark((pos - kDirectPtrs) * 4, 4);
+  }
+}
+
+ukarch::Status BlockFs::FreeRange(std::uint32_t idx, std::uint32_t first_pos) {
+  Inode& ino = inodes_[idx];
+  std::uint32_t* slot = nullptr;
+  // Load the indirect block before touching anything, so a failed load
+  // leaves the caches as they were.
+  ukarch::Status st = Slot(idx, kDirectPtrs, /*alloc=*/false, &slot);
   if (!Ok(st)) {
     return st;
   }
-  ptrs[pos - kDirectPtrs] = block;
-  return WriteBlock(ino.indirect, ptrs);
-}
-
-ukarch::Status BlockFs::FreeRange(std::uint32_t inode_idx, std::uint32_t first_pos) {
-  Inode& ino = inodes_[inode_idx];
+  pending_.inode = true;
+  pending_.freed = true;
   for (std::uint32_t p = first_pos; p < kDirectPtrs; ++p) {
     FreeBlock(ino.direct[p]);
     ino.direct[p] = 0;
   }
-  if (ino.indirect != 0) {
-    std::uint32_t ptrs[kIndirectPtrs];
-    ukarch::Status st = ReadBlock(ino.indirect, ptrs);
-    if (!Ok(st)) {
-      return st;
-    }
-    bool any_kept = false;
-    const std::uint32_t ind_first =
-        first_pos > kDirectPtrs ? first_pos - kDirectPtrs : 0;
-    for (std::uint32_t p = 0; p < kIndirectPtrs; ++p) {
-      if (p >= ind_first) {
-        FreeBlock(ptrs[p]);
-        ptrs[p] = 0;
-      } else if (ptrs[p] != 0) {
-        any_kept = true;
-      }
-    }
-    if (any_kept) {
-      st = WriteBlock(ino.indirect, ptrs);
-      if (!Ok(st)) {
-        return st;
-      }
-    } else {
-      FreeBlock(ino.indirect);
-      ino.indirect = 0;
+  if (ino.indirect == 0) {
+    return ukarch::Status::kOk;
+  }
+  std::vector<std::uint32_t>& ptrs = indirect_[idx];
+  const std::uint32_t ind_first =
+      first_pos > kDirectPtrs ? first_pos - kDirectPtrs : 0;
+  for (std::uint32_t p = ind_first; p < kIndirectPtrs; ++p) {
+    if (ptrs[p] != 0) {
+      FreeBlock(ptrs[p]);
+      SetSlot(kDirectPtrs + p, &ptrs[p], 0);
     }
   }
-  ukarch::Status st = WriteInode(inode_idx);
-  if (!Ok(st)) {
-    return st;
+  if (std::all_of(ptrs.begin(), ptrs.begin() + ind_first,
+                  [](std::uint32_t b) { return b == 0; })) {
+    FreeBlock(ino.indirect);
+    ino.indirect = 0;
+    ptrs.clear();
   }
-  return WriteBitmap();
+  return ukarch::Status::kOk;
+}
+
+ukarch::Status BlockFs::WriteDirty(std::uint32_t block, const void* base, Dirty d) {
+  if (d.lo >= d.hi) {
+    return ukarch::Status::kOk;
+  }
+  const std::uint32_t lo = d.lo / sector_bytes_ * sector_bytes_;
+  const std::uint32_t hi =
+      (d.hi + sector_bytes_ - 1) / sector_bytes_ * sector_bytes_;
+  return WriteBytes(block, lo, hi - lo, static_cast<const std::uint8_t*>(base) + lo);
+}
+
+ukarch::Status BlockFs::SyncMeta(std::uint32_t idx) {
+  const Pending p = std::exchange(pending_, Pending{});
+  const Inode& ino = inodes_[idx];
+  ukarch::Status st = ukarch::Status::kOk;
+  if (!p.freed) {
+    st = WriteDirty(kBitmapBlock, bitmap_.data(), p.bitmap);
+  }
+  if (Ok(st) && ino.indirect != 0) {
+    st = WriteDirty(ino.indirect, indirect_[idx].data(), p.indirect);
+  }
+  if (Ok(st) && p.inode) {
+    const std::uint32_t at = idx * sizeof(Inode);
+    const std::uint32_t table_block = at / kBlockBytes;
+    Dirty own;
+    own.Mark(at % kBlockBytes, sizeof(Inode));
+    st = WriteDirty(kInodeStart + table_block,
+                    inodes_.data() + table_block * (kBlockBytes / sizeof(Inode)),
+                    own);
+  }
+  if (Ok(st) && p.freed) {
+    st = WriteDirty(kBitmapBlock, bitmap_.data(), p.bitmap);
+  }
+  return st;
 }
 
 // ---- BlockFsFile ------------------------------------------------------------
@@ -348,21 +401,20 @@ std::int64_t BlockFsFile::Read(std::uint64_t offset, std::span<std::byte> out) {
   const std::size_t want =
       std::min<std::uint64_t>(out.size(), ino.size - offset);
   std::size_t done = 0;
-  std::uint8_t block[BlockFs::kBlockBytes];
   while (done < want) {
     const std::uint64_t at = offset + done;
     const auto pos = static_cast<std::uint32_t>(at / BlockFs::kBlockBytes);
-    const std::size_t in_block = static_cast<std::size_t>(at % BlockFs::kBlockBytes);
-    const std::size_t n = std::min(want - done, BlockFs::kBlockBytes - in_block);
-    const std::uint32_t blk = fs_->GetPtr(ino, pos);
-    if (blk == 0) {
+    const auto in_block = static_cast<std::uint32_t>(at % BlockFs::kBlockBytes);
+    const std::size_t n = std::min<std::size_t>(want - done, BlockFs::kBlockBytes - in_block);
+    std::uint32_t* slot = nullptr;
+    ukarch::Status st = fs_->Slot(idx_, pos, /*alloc=*/false, &slot);
+    if (Ok(st) && (slot == nullptr || *slot == 0)) {
       std::memset(out.data() + done, 0, n);  // hole reads as zeros
-    } else {
-      if (!Ok(fs_->ReadBlock(blk, block))) {
-        return done > 0 ? static_cast<std::int64_t>(done)
-                        : ukarch::Raw(ukarch::Status::kIo);
-      }
-      std::memcpy(out.data() + done, block + in_block, n);
+    } else if (Ok(st)) {
+      st = fs_->ReadBytes(*slot, in_block, n, out.data() + done);
+    }
+    if (!Ok(st)) {
+      return done > 0 ? static_cast<std::int64_t>(done) : ukarch::Raw(st);
     }
     done += n;
   }
@@ -374,51 +426,47 @@ std::int64_t BlockFsFile::Write(std::uint64_t offset, std::span<const std::byte>
     return ukarch::Raw(ukarch::Status::kNoSpc);
   }
   std::size_t done = 0;
-  std::uint8_t block[BlockFs::kBlockBytes];
+  ukarch::Status st = ukarch::Status::kOk;
   while (done < in.size()) {
     const std::uint64_t at = offset + done;
     const auto pos = static_cast<std::uint32_t>(at / BlockFs::kBlockBytes);
-    const std::size_t in_block = static_cast<std::size_t>(at % BlockFs::kBlockBytes);
+    const auto in_block = static_cast<std::uint32_t>(at % BlockFs::kBlockBytes);
     const std::size_t n =
-        std::min(in.size() - done, BlockFs::kBlockBytes - in_block);
-    std::uint32_t blk = fs_->GetPtr(fs_->inodes_[idx_], pos);
-    const bool fresh = blk == 0;
-    if (fresh) {
-      blk = fs_->AllocBlock();
-      if (blk == 0 || !Ok(fs_->SetPtr(idx_, pos, blk)) ||
-          !Ok(fs_->WriteBitmap())) {
-        if (blk != 0) {
-          fs_->FreeBlock(blk);
-        }
-        break;  // out of space: report the partial write below
-      }
-    }
-    if (n == BlockFs::kBlockBytes) {
-      std::memcpy(block, in.data() + done, n);
-    } else {
-      if (fresh) {
-        std::memset(block, 0, sizeof(block));
-      } else if (!Ok(fs_->ReadBlock(blk, block))) {
-        break;
-      }
-      std::memcpy(block + in_block, in.data() + done, n);
-    }
-    if (!Ok(fs_->WriteBlock(blk, block))) {
+        std::min<std::size_t>(in.size() - done, BlockFs::kBlockBytes - in_block);
+    std::uint32_t* slot = nullptr;
+    st = fs_->Slot(idx_, pos, /*alloc=*/true, &slot);
+    if (!Ok(st)) {
       break;
     }
+    const bool fresh = *slot == 0;
+    const std::uint32_t blk = fresh ? fs_->AllocBlock() : *slot;
+    if (blk == 0) {
+      st = ukarch::Status::kNoSpc;
+      break;  // out of space: report the partial write below
+    }
+    st = fs_->WriteBytes(blk, in_block, n, in.data() + done, fresh);
+    if (!Ok(st)) {
+      if (fresh) {
+        fs_->FreeBlock(blk);
+      }
+      break;
+    }
+    if (fresh) {
+      fs_->SetSlot(pos, slot, blk);
+    }
     done += n;
-  }
-  if (done == 0 && !in.empty()) {
-    return ukarch::Raw(ukarch::Status::kNoSpc);
   }
   BlockFs::Inode& ino = fs_->inodes_[idx_];
   if (offset + done > ino.size) {
     ino.size = offset + done;
-    if (!Ok(fs_->WriteInode(idx_))) {
-      return ukarch::Raw(ukarch::Status::kIo);
-    }
+    fs_->pending_.inode = true;
   }
-  return static_cast<std::int64_t>(done);
+  const ukarch::Status meta = fs_->SyncMeta(idx_);
+  if (done == 0 && !in.empty()) {
+    return ukarch::Raw(st);
+  }
+  return Ok(meta) ? static_cast<std::int64_t>(done)
+                  : ukarch::Raw(ukarch::Status::kIo);
 }
 
 ukarch::Status BlockFsFile::Truncate(std::uint64_t size) {
@@ -426,16 +474,31 @@ ukarch::Status BlockFsFile::Truncate(std::uint64_t size) {
     return ukarch::Status::kNoSpc;
   }
   BlockFs::Inode& ino = fs_->inodes_[idx_];
+  if (size == ino.size) {
+    return ukarch::Status::kOk;
+  }
   if (size < ino.size) {
-    const auto keep = static_cast<std::uint32_t>(
-        (size + BlockFs::kBlockBytes - 1) / BlockFs::kBlockBytes);
-    ukarch::Status st = fs_->FreeRange(idx_, keep);
+    // Zero the old bytes past the new end of the last kept block, so a later
+    // grow, or a write past the new end, reads zeros there and not old data.
+    const auto pos = static_cast<std::uint32_t>(size / BlockFs::kBlockBytes);
+    const auto in_block = static_cast<std::uint32_t>(size % BlockFs::kBlockBytes);
+    std::uint32_t* slot = nullptr;
+    ukarch::Status st = fs_->Slot(idx_, pos, /*alloc=*/false, &slot);
+    if (Ok(st) && in_block != 0 && slot != nullptr && *slot != 0) {
+      const std::uint64_t old_end =
+          std::min<std::uint64_t>(ino.size, size - in_block + BlockFs::kBlockBytes);
+      st = fs_->WriteBytes(*slot, in_block, old_end - size, nullptr);
+    }
+    if (Ok(st)) {
+      st = fs_->FreeRange(idx_, pos + (in_block != 0 ? 1 : 0));
+    }
     if (!Ok(st)) {
       return st;
     }
   }
   ino.size = size;  // growth leaves a hole; reads return zeros
-  return fs_->WriteInode(idx_);
+  fs_->pending_.inode = true;
+  return fs_->SyncMeta(idx_);
 }
 
 // ---- BlockFsDir -------------------------------------------------------------
@@ -479,7 +542,9 @@ ukarch::Status BlockFsDir::Create(std::string_view name, NodeType ntype,
       ino.used = 1;
       ino.name_len = static_cast<std::uint8_t>(name.size());
       std::memcpy(ino.name, name.data(), name.size());
-      ukarch::Status st = fs_->WriteInode(i);
+      fs_->indirect_[i].clear();
+      fs_->pending_.inode = true;
+      ukarch::Status st = fs_->SyncMeta(i);
       if (!Ok(st)) {
         ino.used = 0;
         return st;
@@ -502,7 +567,7 @@ ukarch::Status BlockFsDir::Remove(std::string_view name) {
     return st;
   }
   fs_->inodes_[i] = BlockFs::Inode{};
-  return fs_->WriteInode(i);
+  return fs_->SyncMeta(i);
 }
 
 ukarch::Status BlockFsDir::ReadDir(std::vector<DirEntry>* out) {

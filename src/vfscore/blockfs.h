@@ -14,14 +14,27 @@
 //   blocks 4..         data, addressed by 12 direct + 1 single-indirect
 //                      pointer per inode (max file ≈ 4.04 MiB)
 //
-// Metadata is write-through: every namespace or size change rewrites the
-// affected metadata block synchronously (SubmitAndWait), so a remount —
-// even from a brand-new BlockFs object after a reboot — reconstructs the
-// exact tree from disk. Node::Fsync issues a Request::Op::kFlush barrier,
-// which is what vfscore::File::Fsync rides.
+// Metadata is cached and written through: the superblock geometry, the
+// bitmap, the inode table and each inode's indirect block (read once per
+// mount, on first use) live in memory, and every call that changes them ends
+// with one metadata pass that writes only the 512 B sectors it dirtied. File
+// data moves at sector granularity too: a partial write to an existing block
+// reads back only its partial edge sectors (at most two) and writes only the
+// sectors it touches; a freshly allocated block is zero-filled and written
+// whole. A remount — even from a brand-new BlockFs object after a reboot —
+// reconstructs the exact tree from disk.
+//
+// Write order. A call that allocates writes data -> bitmap sectors ->
+// indirect sectors -> the inode's own sector; a call that frees (truncate,
+// unlink) writes data (the zeroed tail of a shrunk file) -> indirect sectors
+// -> inode sector -> bitmap sectors. A crash between any two device writes
+// can therefore leak a block, but never leaves a pointer to a free block.
+// Node::Fsync issues a Request::Op::kFlush barrier, which is what
+// vfscore::File::Fsync rides.
 #ifndef VFSCORE_BLOCKFS_H_
 #define VFSCORE_BLOCKFS_H_
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -48,7 +61,9 @@ class BlockFs final : public FsDriver {
 
   const char* fs_name() const override { return "blockfs"; }
   // Loads the superblock + metadata from disk. kInval when the device does
-  // not carry a valid blockfs image (callers format first).
+  // not carry a valid blockfs image (callers format first), or when a used
+  // inode is corrupt: a name longer than kNameMax, a size past kMaxFileBytes
+  // or a block pointer outside the data area.
   ukarch::Status Mount(std::shared_ptr<Node>* root) override;
 
   // Writes a fresh empty filesystem over the device.
@@ -67,7 +82,8 @@ class BlockFs final : public FsDriver {
   friend class BlockFsFile;
   friend class BlockFsDir;
 
-#pragma pack(push, 1)
+  // Both records are naturally aligned with no padding (the size asserts pin
+  // it), so the in-memory layout is the on-disk layout.
   struct Super {
     char magic[8];
     std::uint32_t block_bytes;
@@ -84,7 +100,7 @@ class BlockFs final : public FsDriver {
     std::uint32_t indirect;
     std::uint32_t pad;
   };
-#pragma pack(pop)
+  static_assert(sizeof(Super) == 24, "the superblock has no padding");
   static_assert(sizeof(Inode) == 128, "inode slots must pack 32 per block");
 
   static constexpr std::uint32_t kSuperBlock = 0;
@@ -95,34 +111,79 @@ class BlockFs final : public FsDriver {
   static constexpr std::uint32_t kDataStart = kInodeStart + kInodeBlocks;
   static constexpr char kMagic[8] = {'U', 'K', 'B', 'F', 'S', '0', '1', '\0'};
 
-  // Whole-block transfers through the bounce buffer.
-  ukarch::Status ReadBlock(std::uint32_t block, void* out);
-  ukarch::Status WriteBlock(std::uint32_t block, const void* in);
+  // A byte range of one cached metadata block that the current call changed.
+  struct Dirty {
+    std::uint32_t lo = kBlockBytes;
+    std::uint32_t hi = 0;
+    void Mark(std::uint32_t at, std::uint32_t n) {
+      lo = std::min(lo, at);
+      hi = std::max(hi, at + n);
+    }
+  };
+  // Everything a mutating call changed in the caches; SyncMeta writes it.
+  struct Pending {
+    Dirty bitmap;
+    Dirty indirect;  // of the call's inode
+    bool inode = false;
+    bool freed = false;  // blocks were released: the bitmap goes last
+  };
 
-  // Write-through metadata updaters (cache is authoritative in memory,
-  // mirrored to disk on every change).
-  ukarch::Status WriteInode(std::uint32_t idx);
-  ukarch::Status WriteBitmap();
+  // Moves sectors [first, first + count) of |block| between the device and
+  // the bounce buffer, at the same offsets in the buffer as in the block
+  // (a flush moves nothing).
+  ukarch::Status Transfer(ukblockdev::Request::Op op, std::uint32_t block,
+                          std::uint32_t first, std::uint32_t count);
+  // Bytes [at, at + n) of |block|, moving only the sectors they cover. A
+  // write takes |in| (zeros when null) and first reads back the partial edge
+  // sectors; a |fresh| block is instead zero-filled and written whole.
+  ukarch::Status ReadBytes(std::uint32_t block, std::uint32_t at, std::size_t n,
+                           void* out);
+  ukarch::Status WriteBytes(std::uint32_t block, std::uint32_t at, std::size_t n,
+                            const void* in, bool fresh = false);
+  ukarch::Status ReadBlock(std::uint32_t block, void* out) {
+    return ReadBytes(block, 0, kBlockBytes, out);
+  }
+  ukarch::Status WriteBlock(std::uint32_t block, const void* in) {
+    return WriteBytes(block, 0, kBlockBytes, in);
+  }
+
+  bool ValidPtr(std::uint32_t block) const {
+    return block == 0 || (block >= kDataStart && block < total_blocks_);
+  }
+  bool Sane(const Inode& ino) const;
 
   std::uint32_t AllocBlock();            // 0 when full (0 is never a data block)
   void FreeBlock(std::uint32_t block);
 
-  // Block-pointer plumbing for one inode; |pos| indexes the file's blocks.
-  std::uint32_t GetPtr(const Inode& ino, std::uint32_t pos);
-  ukarch::Status SetPtr(std::uint32_t inode_idx, std::uint32_t pos,
-                        std::uint32_t block);
+  // The cached pointer slot of file block |pos| of inode |idx|, loading the
+  // indirect block on first use (kIo when it cannot be read or holds an
+  // out-of-range pointer). Past a missing indirect block the slot is null (a
+  // hole), unless |alloc|, which allocates a zeroed indirect block.
+  ukarch::Status Slot(std::uint32_t idx, std::uint32_t pos, bool alloc,
+                      std::uint32_t** slot);
+  // Points |slot| (file block |pos| of the call's inode) at |block|.
+  void SetSlot(std::uint32_t pos, std::uint32_t* slot, std::uint32_t block);
   // Frees every data block from |first_pos| on (plus the indirect block when
-  // it empties) and mirrors the metadata.
-  ukarch::Status FreeRange(std::uint32_t inode_idx, std::uint32_t first_pos);
+  // it empties) in the caches; the caller's SyncMeta writes the result.
+  ukarch::Status FreeRange(std::uint32_t idx, std::uint32_t first_pos);
+  // The metadata pass that ends every mutating call on inode |idx|: writes
+  // the dirtied sectors in the order the header comment gives.
+  ukarch::Status SyncMeta(std::uint32_t idx);
+  ukarch::Status WriteDirty(std::uint32_t block, const void* base, Dirty d);
 
   ukblockdev::BlockDev* dev_;
-  ukplat::MemRegion* mem_;
   std::uint64_t bounce_gpa_;
+  std::byte* bounce_ = nullptr;
+  std::uint32_t sector_bytes_ = 0;
   std::uint32_t sectors_per_block_ = 0;
   std::uint32_t total_blocks_ = 0;
   bool mounted_ = false;
   std::vector<Inode> inodes_;
   std::vector<std::uint8_t> bitmap_;
+  // Per inode: its indirect block's pointers once loaded (empty before, and
+  // while the inode has no indirect block).
+  std::vector<std::vector<std::uint32_t>> indirect_;
+  Pending pending_;
 };
 
 }  // namespace vfscore

@@ -17,6 +17,7 @@
 #include "apps/persist.h"
 #include "apps/redis.h"
 #include "apps/resp.h"
+#include "block_harness.h"
 #include "env/testbed.h"
 #include "net_harness.h"
 #include "posix/api.h"
@@ -72,13 +73,15 @@ Persist::Applier MapApplier(KvMap* m) {
 // what the fleet's kRootfs inittab stage does on respawn).
 class PersistTest : public ::testing::Test {
  protected:
-  PersistTest() : mem_(8 << 20), disk_(&mem_, /*sectors=*/8192) { Remount(); }
+  PersistTest() : mem_(8 << 20), disk_(&mem_, /*sectors=*/8192), dev_(&disk_) {
+    Remount();
+  }
 
   void Remount() {
     if (fs_ != nullptr) {
       vfs_.Unmount("/persist");
     }
-    fs_ = std::make_unique<vfscore::BlockFs>(&disk_, &mem_);
+    fs_ = std::make_unique<vfscore::BlockFs>(&dev_, &mem_);
     ASSERT_TRUE(ukarch::Ok(fs_->EnsureFormatted()));
     ASSERT_TRUE(ukarch::Ok(vfs_.Mount("/persist", fs_.get())));
   }
@@ -95,8 +98,15 @@ class PersistTest : public ::testing::Test {
     return p;
   }
 
+  // Every BlockFs file write ends with exactly one write to the inode table
+  // (blocks 2..3, sectors 16..31), so these count File::Write calls.
+  std::size_t InodeTableWrites() const {
+    return dev_.Count(ukblockdev::Request::Op::kWrite, 16, 32);
+  }
+
   ukplat::MemRegion mem_;
   ukblockdev::RamDisk disk_;
+  blockharness::RecordingBlockDev dev_;
   vfscore::Vfs vfs_;
   std::unique_ptr<vfscore::BlockFs> fs_;
 };
@@ -312,6 +322,48 @@ TEST_F(PersistTest, BackgroundSaveBoundsBytesPerTurn) {
   Persist::RecoverStats rs = p2->Recover(MapApplier(&recovered));
   EXPECT_TRUE(rs.snapshot_loaded);
   EXPECT_EQ(rs.snapshot_keys, 300u);
+  EXPECT_EQ(recovered, store);
+}
+
+// A background-save turn hands the filesystem its whole budget in one write,
+// and SAVE (no budget) still writes chunk by chunk.
+TEST_F(PersistTest, BackgroundSaveTurnIsOneFileWrite) {
+  KvMap store;
+  for (int i = 0; i < 200; ++i) {
+    store["key" + std::to_string(i)] = std::string(1024, static_cast<char>('a' + i % 26));
+  }
+  Persist::Config cfg;
+  cfg.snapshot_chunk_bytes = 64 * 1024;
+  auto p = MakePersist(cfg, &store);
+  KvMap empty;
+  p->Recover(MapApplier(&empty));
+
+  ASSERT_TRUE(p->StartBackgroundSave());
+  int turns = 0;
+  while (p->save_active() && turns < 100) {
+    dev_.log.clear();
+    p->OnTurnEnd();
+    ++turns;
+    if (p->save_active()) {
+      EXPECT_EQ(InodeTableWrites(), 1u) << "turn " << turns;
+    }
+  }
+  ASSERT_FALSE(p->save_active());
+  EXPECT_EQ(turns, 4);  // ~207 KiB of records at 64 KiB per turn
+  EXPECT_LE(p->stats().max_turn_snapshot_bytes, 64u * 1024 + (10 + 6 + 1024));
+
+  cfg.snapshot_chunk_bytes = 4096;
+  auto q = MakePersist(cfg, &store);
+  KvMap scratch;
+  q->Recover(MapApplier(&scratch));
+  dev_.log.clear();
+  ASSERT_TRUE(q->SaveNow());
+  EXPECT_GE(InodeTableWrites(), 200u * 1024 / (4096 + 1040));
+
+  KvMap recovered;
+  auto r = MakePersist({}, &recovered);
+  Persist::RecoverStats rs = r->Recover(MapApplier(&recovered));
+  EXPECT_TRUE(rs.snapshot_loaded);
   EXPECT_EQ(recovered, store);
 }
 

@@ -2,9 +2,14 @@
 // rings), vfscore path resolution and file semantics, ramfs, SHFS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
+#include <set>
 #include <string>
+#include <vector>
 
+#include "block_harness.h"
 #include "shfs/shfs.h"
 #include "ukalloc/registry.h"
 #include "ukblockdev/ramdisk.h"
@@ -63,6 +68,22 @@ TEST_F(BlockTest, CompletionHandlerInvoked) {
   ASSERT_TRUE(disk.Submit(&rd));
   disk.ProcessCompletions(SIZE_MAX);
   EXPECT_EQ(completions, 1);
+}
+
+// The result is published by ProcessCompletions, not by Submit: a request
+// that looked done at Submit was never reaped, so the device kept a pointer
+// to it long after the submitter's stack frame was gone.
+TEST_F(BlockTest, RamDiskRequestStaysPendingUntilReaped) {
+  RamDisk disk(&mem_, 16);
+  Request rd{Request::Op::kRead, 0, 1, buf_gpa_};
+  ASSERT_TRUE(disk.Submit(&rd));
+  EXPECT_FALSE(rd.done());
+  EXPECT_EQ(disk.ProcessCompletions(SIZE_MAX), 1u);
+  EXPECT_TRUE(rd.done());
+  EXPECT_EQ(rd.result, 0);
+  rd.result = Request::kPending;
+  EXPECT_EQ(SubmitAndWait(disk, &rd), 0);
+  EXPECT_EQ(disk.ProcessCompletions(SIZE_MAX), 0u);  // nothing left behind
 }
 
 TEST_F(BlockTest, VirtioBlkRoundTripThroughRing) {
@@ -447,6 +468,384 @@ TEST_F(BlockFsTest, MountRejectsUnformattedDevice) {
   vfscore::BlockFs fs(&disk_, &mem_);
   std::shared_ptr<vfscore::Node> root;
   EXPECT_EQ(fs.Mount(&root), ukarch::Status::kInval);  // no magic yet
+}
+
+// A shrink must not leave the old bytes past the new end in the last kept
+// block: a later grow, or a write past the new end, would expose them.
+TEST_F(BlockFsTest, ShrinkThenGrowReadsZerosPastTheOldEnd) {
+  vfscore::Vfs vfs;
+  auto fs = MountFresh(&vfs);
+  std::shared_ptr<vfscore::File> f;
+  ASSERT_TRUE(Ok(vfs.Open("/persist/t", vfscore::kWrite | vfscore::kRead | vfscore::kCreate, &f)));
+  const std::string data(8192, 'z');
+  ASSERT_EQ(f->Write(AsBytes(data)), 8192);
+  ASSERT_TRUE(Ok(f->node().Truncate(100)));
+  ASSERT_TRUE(Ok(f->node().Truncate(4096)));
+  std::string back(4096, '?');
+  ASSERT_EQ(f->ReadAt(0, std::as_writable_bytes(std::span(back.data(), back.size()))), 4096);
+  EXPECT_EQ(back[99], 'z');
+  EXPECT_EQ(back[200], '\0');
+  EXPECT_EQ(back.find_first_not_of('\0', 100), std::string::npos);
+}
+
+TEST_F(BlockFsTest, ShrinkThenWritePastTheEndReadsZerosInTheGap) {
+  vfscore::Vfs vfs;
+  auto fs = MountFresh(&vfs);
+  std::shared_ptr<vfscore::File> f;
+  ASSERT_TRUE(Ok(vfs.Open("/persist/t", vfscore::kWrite | vfscore::kRead | vfscore::kCreate, &f)));
+  ASSERT_EQ(f->Write(AsBytes(std::string(8192, 'z'))), 8192);
+  ASSERT_TRUE(Ok(f->node().Truncate(100)));
+  ASSERT_EQ(f->WriteAt(300, AsBytes("x")), 1);
+  // Both on this mount and from the device after a remount.
+  for (int pass = 0; pass < 2; ++pass) {
+    std::string back(301, '?');
+    ASSERT_EQ(f->ReadAt(0, std::as_writable_bytes(std::span(back.data(), back.size()))), 301);
+    EXPECT_EQ(back.substr(0, 100), std::string(100, 'z'));
+    EXPECT_EQ(back.substr(100, 200), std::string(200, '\0'));
+    EXPECT_EQ(back[300], 'x');
+    vfs.Unmount("/persist");
+    fs = MountFresh(&vfs);
+    ASSERT_TRUE(Ok(vfs.Open("/persist/t", vfscore::kRead, &f)));
+  }
+}
+
+// A used inode whose fields point outside its slot or the data area must be
+// refused at mount (name_len indexes a 62-byte array; pointers index the
+// device), and a corrupt indirect block must fail the I/O, not read as a hole.
+TEST_F(BlockFsTest, MountRejectsCorruptInodes) {
+  using blockharness::DiskImage;
+  std::uint32_t total = 0;
+  {
+    vfscore::Vfs vfs;
+    auto fs = MountFresh(&vfs);
+    total = fs->total_blocks();
+    std::shared_ptr<vfscore::File> f;
+    ASSERT_TRUE(Ok(vfs.Open("/persist/big", vfscore::kWrite | vfscore::kCreate, &f)));
+    ASSERT_EQ(f->Write(AsBytes(std::string(60 * 1024, 'b'))), 60 * 1024);
+  }
+  const std::vector<std::uint8_t> pristine = disk_.backing();
+  const DiskImage::Inode big = DiskImage(pristine).inode(0);
+  ASSERT_TRUE(big.used);
+  ASSERT_NE(big.indirect, 0u);
+
+  auto put = [this](std::size_t at, std::uint64_t v, std::size_t n) {
+    std::memcpy(&disk_.backing()[at], &v, n);
+  };
+  const std::size_t slot0 = DiskImage::InodeAt(0);
+  const std::size_t slot63 = DiskImage::InodeAt(63);
+  const std::vector<std::function<void()>> corruptions = {
+      [&] { put(slot0 + DiskImage::kNameLenField, 63, 1); },
+      [&] {  // the last slot: name_len 255 would read past the inode table
+        put(slot63, 1, 1);
+        put(slot63 + DiskImage::kNameLenField, 255, 1);
+      },
+      [&] { put(slot0 + DiskImage::kSizeField, vfscore::BlockFs::kMaxFileBytes + 1, 8); },
+      [&] { put(slot0 + DiskImage::kDirectField, DiskImage::kBitmapBlock, 4); },
+      [&] { put(slot0 + DiskImage::kDirectField + 4 * 3, total, 4); },
+      [&] { put(slot0 + DiskImage::kIndirectField, DiskImage::kInodeStart, 4); },
+      [&] { put(slot0 + DiskImage::kIndirectField, 0xFFFFFFFFu, 4); },
+  };
+  for (std::size_t c = 0; c < corruptions.size(); ++c) {
+    SCOPED_TRACE("corruption " + std::to_string(c));
+    disk_.backing() = pristine;
+    corruptions[c]();
+    vfscore::BlockFs fs(&disk_, &mem_);
+    std::shared_ptr<vfscore::Node> root;
+    EXPECT_EQ(fs.Mount(&root), ukarch::Status::kInval);
+  }
+
+  // A bad pointer inside the indirect block mounts (it is loaded on first
+  // use) but fails every transfer that needs it.
+  disk_.backing() = pristine;
+  put(std::size_t{big.indirect} * DiskImage::kBlockBytes + 4, 1, 4);
+  vfscore::Vfs vfs;
+  auto fs = MountFresh(&vfs);
+  std::shared_ptr<vfscore::File> f;
+  ASSERT_TRUE(Ok(vfs.Open("/persist/big", vfscore::kWrite | vfscore::kRead, &f)));
+  char buf[16];
+  EXPECT_EQ(f->ReadAt(0, std::as_writable_bytes(std::span(buf))), 16);  // direct
+  EXPECT_EQ(f->ReadAt(13 * 4096, std::as_writable_bytes(std::span(buf))),
+            ukarch::Raw(ukarch::Status::kIo));
+  EXPECT_EQ(f->WriteAt(13 * 4096, AsBytes("x")), ukarch::Raw(ukarch::Status::kIo));
+}
+
+// ---- blockfs I/O counts: cached indirect block, sector-granular transfers ----------
+
+class BlockFsIoTest : public BlockFsTest {
+ protected:
+  using Op = ukblockdev::Request::Op;
+  static constexpr std::uint64_t kSectorsPerBlock = 8;
+
+  BlockFsIoTest() : dev_(&disk_) {}
+
+  std::unique_ptr<vfscore::BlockFs> MountCounted(vfscore::Vfs* vfs) {
+    auto fs = std::make_unique<vfscore::BlockFs>(&dev_, &mem_);
+    EXPECT_TRUE(Ok(fs->EnsureFormatted()));
+    EXPECT_TRUE(Ok(vfs->Mount("/persist", fs.get())));
+    return fs;
+  }
+  // Requests of |op| touching |block|.
+  std::size_t OnBlock(Op op, std::uint32_t block) const {
+    return dev_.Count(op, block * kSectorsPerBlock, (block + 1) * kSectorsPerBlock);
+  }
+  std::uint64_t SectorsRead() const {
+    std::uint64_t n = 0;
+    for (const auto& io : dev_.log) {
+      n += io.op == Op::kRead ? io.count : 0;
+    }
+    return n;
+  }
+
+  blockharness::RecordingBlockDev dev_;
+};
+
+TEST_F(BlockFsIoTest, AppendToAnIndirectFileReadsOnlyItsEdgeSectors) {
+  using blockharness::DiskImage;
+  const std::size_t size = 80 * 1024 + 300;  // ends mid-sector in block 20
+  {
+    vfscore::Vfs vfs;
+    auto fs = MountCounted(&vfs);
+    std::shared_ptr<vfscore::File> f;
+    ASSERT_TRUE(Ok(vfs.Open("/persist/log", vfscore::kWrite | vfscore::kCreate, &f)));
+    ASSERT_EQ(f->Write(AsBytes(std::string(size, 'a'))), static_cast<std::int64_t>(size));
+  }
+  const std::uint32_t indirect = DiskImage(disk_.backing()).inode(0).indirect;
+  ASSERT_NE(indirect, 0u);
+
+  // Reboot: a fresh object loads the indirect block once, on first use.
+  vfscore::Vfs vfs;
+  auto fs = MountCounted(&vfs);
+  std::shared_ptr<vfscore::File> f;
+  ASSERT_TRUE(Ok(vfs.Open("/persist/log", vfscore::kWrite | vfscore::kAppend, &f)));
+  dev_.log.clear();
+  ASSERT_EQ(f->Write(AsBytes(std::string(1024, 'b'))), 1024);
+  EXPECT_EQ(OnBlock(Op::kRead, indirect), 1u);
+
+  // Steady state: no indirect read; only the partial head and tail sectors
+  // of the 1 KiB range are read back, and only the sectors it covers go out.
+  dev_.log.clear();
+  ASSERT_EQ(f->Write(AsBytes(std::string(1024, 'c'))), 1024);
+  EXPECT_EQ(OnBlock(Op::kRead, indirect), 0u);
+  EXPECT_LE(SectorsRead(), 2u);
+  EXPECT_EQ(dev_.Count(Op::kRead), 2u);
+  // Data (sectors 5..7 of the block: bytes 2348..3371), then the inode sector.
+  ASSERT_EQ(dev_.Count(Op::kWrite), 2u);
+  EXPECT_EQ(dev_.log.back().count, 1u);
+  EXPECT_EQ(OnBlock(Op::kWrite, indirect), 0u);
+  EXPECT_EQ(OnBlock(Op::kWrite, DiskImage::kBitmapBlock), 0u);
+
+  std::string back(size + 2048, '?');
+  ASSERT_TRUE(Ok(vfs.Open("/persist/log", vfscore::kRead, &f)));
+  ASSERT_EQ(f->Read(std::as_writable_bytes(std::span(back.data(), back.size()))),
+            static_cast<std::int64_t>(back.size()));
+  EXPECT_EQ(back, std::string(size, 'a') + std::string(1024, 'b') + std::string(1024, 'c'));
+}
+
+TEST_F(BlockFsIoTest, FreshBlockAppendWritesBitmapAndInodeOnce) {
+  using blockharness::DiskImage;
+  vfscore::Vfs vfs;
+  auto fs = MountCounted(&vfs);
+  std::shared_ptr<vfscore::File> f;
+  ASSERT_TRUE(Ok(vfs.Open("/persist/log", vfscore::kWrite | vfscore::kCreate | vfscore::kAppend, &f)));
+  ASSERT_EQ(f->Write(AsBytes(std::string(13 * 4096, 'a'))), 13 * 4096);  // indirect in use
+  const std::uint32_t indirect = DiskImage(disk_.backing()).inode(0).indirect;
+  ASSERT_NE(indirect, 0u);
+
+  // Each append starts a fresh block: a short one, then (after filling that
+  // block) a whole one.
+  const auto append_fresh = [&](std::size_t len) {
+    SCOPED_TRACE(len);
+    dev_.log.clear();
+    ASSERT_EQ(f->Write(AsBytes(std::string(len, 'n'))), static_cast<std::int64_t>(len));
+    EXPECT_EQ(dev_.Count(Op::kRead), 0u);  // a fresh block is never read back
+    // Data (the whole block), then one sector each of bitmap, indirect block
+    // and inode table, in that order.
+    ASSERT_EQ(dev_.log.size(), 4u);
+    EXPECT_EQ(dev_.log[0].count, kSectorsPerBlock);
+    EXPECT_EQ(OnBlock(Op::kWrite, DiskImage::kBitmapBlock), 1u);
+    EXPECT_EQ(dev_.log[1].sector / kSectorsPerBlock, DiskImage::kBitmapBlock);
+    EXPECT_EQ(dev_.log[2].sector / kSectorsPerBlock, indirect);
+    EXPECT_EQ(dev_.Count(Op::kWrite, DiskImage::kInodeStart * kSectorsPerBlock,
+                         DiskImage::kDataStart * kSectorsPerBlock),
+              1u);
+    EXPECT_EQ(dev_.log[3].sector / kSectorsPerBlock, DiskImage::kInodeStart);
+    for (std::size_t i = 1; i < 4; ++i) {
+      EXPECT_EQ(dev_.log[i].count, 1u);
+    }
+  };
+  append_fresh(100);
+  ASSERT_EQ(f->Write(AsBytes(std::string(4096 - 100, 'f'))), 4096 - 100);
+  append_fresh(4096);
+}
+
+// ---- blockfs crash consistency: power cut at every device write ----------------
+
+struct FsOp {
+  enum Kind { kCreate, kWrite, kTruncate, kUnlink } kind;
+  const char* file;
+  std::uint64_t at = 0;   // write offset, or the truncate size
+  std::size_t len = 0;
+  char byte = 0;
+};
+using FsModel = std::map<std::string, std::string>;
+
+void ApplyToModel(const FsOp& op, FsModel* m) {
+  std::string& data = (*m)[op.file];
+  switch (op.kind) {
+    case FsOp::kCreate:
+      break;
+    case FsOp::kWrite:
+      if (data.size() < op.at + op.len) {
+        data.resize(op.at + op.len, '\0');
+      }
+      std::fill_n(data.begin() + static_cast<std::ptrdiff_t>(op.at), op.len, op.byte);
+      break;
+    case FsOp::kTruncate:
+      data.resize(op.at, '\0');
+      break;
+    case FsOp::kUnlink:
+      m->erase(op.file);
+      break;
+  }
+}
+
+void ApplyToFs(const FsOp& op, vfscore::Vfs* vfs) {
+  const std::string path = std::string("/persist/") + op.file;
+  std::shared_ptr<vfscore::File> f;
+  switch (op.kind) {
+    case FsOp::kCreate:
+      ASSERT_TRUE(Ok(vfs->Open(path, vfscore::kWrite | vfscore::kCreate, &f)));
+      break;
+    case FsOp::kWrite:
+      ASSERT_TRUE(Ok(vfs->Open(path, vfscore::kWrite, &f)));
+      ASSERT_EQ(f->WriteAt(op.at, AsBytes(std::string(op.len, op.byte))),
+                static_cast<std::int64_t>(op.len));
+      break;
+    case FsOp::kTruncate:
+      ASSERT_TRUE(Ok(vfs->Open(path, vfscore::kWrite, &f)));
+      ASSERT_TRUE(Ok(f->node().Truncate(op.at)));
+      break;
+    case FsOp::kUnlink:
+      ASSERT_TRUE(Ok(vfs->Unlink(path)));
+      break;
+  }
+}
+
+// Every byte a file holds after the cut is the one it held before the
+// interrupted operation or the one that operation was writing (a truncate
+// writes zeros past its new size), so no byte can come from another file or
+// from a freed block; and the image is structurally sound: every referenced
+// block is in the data area, allocated, and referenced once.
+TEST_F(BlockFsTest, PowerCutAtEveryWriteLeavesOldOrNewBytesAndNoDanglingPointer) {
+  using blockharness::DiskImage;
+  const std::vector<FsOp> script = {
+      {FsOp::kCreate, "a"},
+      {FsOp::kCreate, "b"},
+      {FsOp::kWrite, "b", 0, 3000, 'B'},
+      {FsOp::kWrite, "a", 0, 11000, '1'},
+      {FsOp::kWrite, "a", 11000, 11000, '2'},
+      {FsOp::kWrite, "a", 22000, 11000, '3'},
+      {FsOp::kWrite, "a", 33000, 11000, '4'},
+      {FsOp::kWrite, "a", 44000, 11000, '5'},  // crosses the 12 direct pointers
+      {FsOp::kWrite, "a", 55000, 64 * 1024, 'S'},  // a snapshot turn
+      {FsOp::kWrite, "a", 5000, 700, 'o'},      // in place, partial sectors
+      {FsOp::kTruncate, "a", 30000},            // frees the indirect block
+      {FsOp::kWrite, "a", 30100, 50, 'e'},      // past the end, same block
+      {FsOp::kUnlink, "b"},
+  };
+  const std::vector<std::uint8_t> blank(disk_.backing().size(), 0);
+  bool completed = false;
+  for (std::uint64_t cut = 0; !completed && cut < 1000; ++cut) {
+    SCOPED_TRACE("cut after write " + std::to_string(cut));
+    disk_.backing() = blank;
+    {
+      vfscore::BlockFs formatter(&disk_, &mem_);
+      ASSERT_TRUE(Ok(formatter.Format()));
+    }
+    blockharness::RecordingBlockDev dev(&disk_);
+    dev.cut_after = cut;
+    FsModel before;
+    FsModel after;
+    std::size_t cut_step = script.size();
+    {
+      vfscore::BlockFs fs(&dev, &mem_);
+      vfscore::Vfs vfs;
+      std::shared_ptr<vfscore::Node> root;
+      ASSERT_TRUE(Ok(fs.Mount(&root)));
+      ASSERT_TRUE(Ok(vfs.Mount("/persist", &fs)));
+      for (std::size_t i = 0; i < script.size(); ++i) {
+        ASSERT_NO_FATAL_FAILURE(ApplyToFs(script[i], &vfs));
+        if (cut_step == script.size()) {
+          after = before;
+          ApplyToModel(script[i], &after);
+          if (dev.cut()) {
+            cut_step = i;
+          } else {
+            before = after;
+          }
+        }
+      }
+    }
+    completed = !dev.cut();
+
+    // Reboot onto whatever reached the medium.
+    vfscore::BlockFs fs(&disk_, &mem_);
+    vfscore::Vfs vfs;
+    std::shared_ptr<vfscore::Node> root;
+    ASSERT_TRUE(Ok(fs.Mount(&root)));
+    ASSERT_TRUE(Ok(vfs.Mount("/persist", &fs)));
+    const bool zeros = cut_step < script.size() && script[cut_step].kind == FsOp::kTruncate;
+    std::set<std::string> names;
+    for (const FsModel* m : {&before, &after}) {
+      for (const auto& entry : *m) {
+        names.insert(entry.first);
+      }
+    }
+    for (const std::string& name : names) {
+      SCOPED_TRACE(name);
+      const auto b = before.find(name);
+      const auto a = after.find(name);
+      std::shared_ptr<vfscore::File> f;
+      if (!Ok(vfs.Open("/persist/" + name, vfscore::kRead, &f))) {
+        EXPECT_TRUE(b == before.end() || a == after.end());
+        continue;
+      }
+      ASSERT_TRUE(b != before.end() || a != after.end());
+      const std::string* old_bytes = b != before.end() ? &b->second : nullptr;
+      const std::string* new_bytes = a != after.end() ? &a->second : nullptr;
+      const std::uint64_t size = f->node().Stat().size;
+      EXPECT_TRUE((old_bytes != nullptr && size == old_bytes->size()) ||
+                  (new_bytes != nullptr && size == new_bytes->size()))
+          << "size " << size;
+      std::string got(size, '\0');
+      ASSERT_EQ(f->Read(std::as_writable_bytes(std::span(got.data(), got.size()))),
+                static_cast<std::int64_t>(size));
+      for (std::size_t i = 0; i < size; ++i) {
+        const char c = got[i];
+        const bool ok = (old_bytes != nullptr && i < old_bytes->size() && (*old_bytes)[i] == c) ||
+                        (new_bytes != nullptr && i < new_bytes->size() && (*new_bytes)[i] == c) ||
+                        (zeros && c == '\0');
+        if (!ok) {
+          ADD_FAILURE() << "byte " << i << " reads " << static_cast<int>(c);
+          break;
+        }
+      }
+      if (completed) {
+        EXPECT_EQ(got, *new_bytes);
+      }
+    }
+
+    const DiskImage img(disk_.backing());
+    std::set<std::uint32_t> seen;
+    for (const std::uint32_t block : img.Referenced()) {
+      EXPECT_GE(block, DiskImage::kDataStart);
+      EXPECT_LT(block, img.total_blocks());
+      EXPECT_TRUE(block < img.total_blocks() && img.allocated(block))
+          << "block " << block << " is referenced but free";
+      EXPECT_TRUE(seen.insert(block).second) << "block " << block << " referenced twice";
+    }
+  }
+  EXPECT_TRUE(completed);
 }
 
 // ---- Fsync plumbing: vfscore::File::Fsync -> ukblockdev flush op ---------------
