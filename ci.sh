@@ -118,6 +118,21 @@ sys.exit(0 if d["correct"] and w <= 3.0 else 1)'; then
   echo "ci: durable-restart write amplification over 3.0: $PERFBENCH_LAST" >&2
   exit 1
 fi
+# One doorbell per turn: a resp-pingpong server turn answers 4 connections,
+# and the replies share one TX burst, so a traced run must ring at most 0.3
+# vhost-net kicks per request (0.25 with staging; 1.0 when every reply rang
+# its own).
+PERFBENCH_LAST="$(python3 perfbench/run.py --workload resp-pingpong --seed 1 \
+  --seconds 2 --trace 1 | tail -n 1)"
+if ! printf '%s' "$PERFBENCH_LAST" | python3 -c '
+import json, sys
+d = json.loads(sys.stdin.read())
+k = d["metrics"]["uknetdev.kicks_per_req"]["value"]
+print(f"ci: resp-pingpong rings {k:.3f} kicks per request (<= 0.3)")
+sys.exit(0 if d["correct"] and k <= 0.3 else 1)'; then
+  echo "ci: resp-pingpong kicks per request over 0.3: $PERFBENCH_LAST" >&2
+  exit 1
+fi
 
 # Fleet scaling gate: churn through the L4 balancer must reach >=3x the
 # 1-backend rate at 4 backends with zero aborted connections, and the

@@ -47,6 +47,9 @@ std::size_t EventLoop::PumpOnce(std::uint64_t timeout_cycles) {
   ++turns_;
   int n = api_->EpollWait(epfd_, std::span(ready_.data(), ready_.size()),
                           timeout_cycles);
+  // The turn's replies share one doorbell per TX queue, and leave only after
+  // the turn-end hooks (the AOF write and fsync), as Redis's beforeSleep.
+  uknet::TxHold hold(api_->net());
   std::size_t dispatched = 0;
   for (int i = 0; i < n; ++i) {
     const posix::EpollEvent& ev = ready_[static_cast<std::size_t>(i)];

@@ -35,7 +35,9 @@ class EventLoop {
 
   // One loop turn: waits up to |timeout_cycles| for readiness (0 = scan
   // without sleeping; kNoTimeout = block until an event), then dispatches
-  // every ready descriptor's handler once. Returns handlers dispatched.
+  // every ready descriptor's handler once. Returns handlers dispatched. From
+  // the wait's return until the turn-end hooks have run, the turn holds the
+  // stack's TX (uknet::TxHold): its frames leave together afterwards.
   std::size_t PumpOnce(std::uint64_t timeout_cycles = 0);
 
   // Registers a callback that runs at the END of every PumpOnce turn, after

@@ -160,6 +160,12 @@ void StreamServer::OnConnEvent(int fd, uknet::EventMask events) {
       if (!data.empty() && handler_.on_data) {
         handler_.on_data(conn, data);
       }
+      if (static_cast<std::size_t>(n) < sizeof(buf)) {
+        // A short read emptied the socket, and TCP recv runs no stack pass:
+        // the next recv could only say EAGAIN, or EOF, which stays readable
+        // for the next turn's scan.
+        break;
+      }
       continue;
     }
     if (n == 0) {

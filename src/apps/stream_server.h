@@ -1,11 +1,11 @@
 // apps/stream_server.h - the shared TCP stream-server scaffold.
 //
 // Every TCP connection in apps/ runs through this one piece of machinery:
-// drain the accept queue on kEvtAcceptable, recv-loop each readable
-// connection, flush a pending-output buffer with interest tracking (watch
-// kEvtWritable only while bytes are backlogged so an idle connection lets the
-// loop sleep), and close after the drain once the peer sent FIN or the app
-// asked for teardown. RedisServer, HttpServer and the tab5 echo are the
+// drain the accept queue on kEvtAcceptable, recv each readable connection
+// until a short read, flush a pending-output buffer with interest tracking
+// (watch kEvtWritable only while bytes are backlogged so an idle connection
+// lets the loop sleep), and close after the drain once the peer sent FIN or
+// the app asked for teardown. RedisServer, HttpServer and the tab5 echo are the
 // server side; the L4 balancer's backend leg and health probes are the client
 // side (Connect). The protocol is reduced to three callbacks.
 //

@@ -3,6 +3,9 @@
 namespace ukblockdev {
 
 std::int32_t SubmitAndWait(BlockDev& dev, Request* req) {
+  // A reused request still carries its last result; without the reset the
+  // wait below would return at once and strand the new completion.
+  req->result = Request::kPending;
   while (!dev.Submit(req)) {
     dev.ProcessCompletions(SIZE_MAX);
   }

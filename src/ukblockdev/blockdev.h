@@ -67,7 +67,8 @@ class BlockDev {
 };
 
 // Convenience synchronous wrapper used by filesystems: submits and spins on
-// completions. Returns the request result.
+// completions. Returns the request result. The result is reset to kPending
+// first, so a request that already completed can be submitted again.
 std::int32_t SubmitAndWait(BlockDev& dev, Request* req);
 
 }  // namespace ukblockdev

@@ -68,48 +68,66 @@ bool VirtioBlk::Submit(Request* req) {
   return true;
 }
 
+std::uint8_t VirtioBlk::ExecuteChain(
+    std::span<const ukplat::Virtqueue::Segment> segs, std::uint32_t* written) {
+  // Chain shapes (virtio spec 5.2.6): [header | data | status] for reads and
+  // writes, [header | status] for a flush. Anything else is an I/O error.
+  if (segs.size() < 2 || segs[0].len < sizeof(VirtioBlkHdr)) {
+    return kVirtioBlkSIoErr;
+  }
+  const auto hdr = guest_mem_->Read<VirtioBlkHdr>(segs[0].gpa);
+  if (hdr.type == kVirtioBlkTFlush) {
+    if (segs.size() != 2) {
+      return kVirtioBlkSIoErr;
+    }
+    // Barrier: all writes acknowledged before this chain are stable once
+    // the status byte lands. The simulated disk image is a host vector, so
+    // the only observable effect is the modeled drain cost + counter.
+    clock_->Charge(kFlushBarrierCycles);
+    ++flushes_;
+    return kVirtioBlkSOk;
+  }
+  const bool read = hdr.type == kVirtioBlkTIn;
+  if ((!read && hdr.type != kVirtioBlkTOut) || segs.size() != 3 ||
+      (read && !segs[1].device_writable)) {
+    return kVirtioBlkSIoErr;
+  }
+  const ukplat::Virtqueue::Segment& data_seg = segs[1];
+  // Bound the sector before scaling it, so a huge one cannot wrap the offset.
+  if (hdr.sector > disk_.size() / geom_.sector_bytes) {
+    return kVirtioBlkSIoErr;
+  }
+  const std::uint64_t offset = hdr.sector * geom_.sector_bytes;
+  std::byte* buf = guest_mem_->At(data_seg.gpa, data_seg.len);
+  if (offset + data_seg.len > disk_.size() || buf == nullptr) {
+    return kVirtioBlkSIoErr;
+  }
+  if (read) {
+    std::memcpy(buf, disk_.data() + offset, data_seg.len);
+    *written = data_seg.len;
+  } else {
+    std::memcpy(disk_.data() + offset, buf, data_seg.len);
+  }
+  clock_->ChargeCopy(data_seg.len);
+  return kVirtioBlkSOk;
+}
+
 void VirtioBlk::DeviceRun() {
   bool did_work = false;
   while (auto chain = vq_.DevicePop()) {
-    std::uint8_t status = kVirtioBlkSOk;
-    std::uint32_t written = 0;
-    VirtioBlkHdr hdr{};
-    if (chain->segments.empty() ||
-        chain->segments[0].len < sizeof(VirtioBlkHdr)) {
-      status = kVirtioBlkSIoErr;
-    } else {
-      hdr = guest_mem_->Read<VirtioBlkHdr>(chain->segments[0].gpa);
-      if (hdr.type == kVirtioBlkTIn || hdr.type == kVirtioBlkTOut) {
-        const auto& data_seg = chain->segments[1];
-        std::uint64_t offset = hdr.sector * geom_.sector_bytes;
-        if (offset + data_seg.len > disk_.size()) {
-          status = kVirtioBlkSIoErr;
-        } else {
-          std::byte* buf = guest_mem_->At(data_seg.gpa, data_seg.len);
-          if (buf == nullptr) {
-            status = kVirtioBlkSIoErr;
-          } else if (hdr.type == kVirtioBlkTIn) {
-            std::memcpy(buf, disk_.data() + offset, data_seg.len);
-            clock_->ChargeCopy(data_seg.len);
-            written = data_seg.len;
-          } else {
-            std::memcpy(disk_.data() + offset, buf, data_seg.len);
-            clock_->ChargeCopy(data_seg.len);
-          }
-        }
-      } else if (hdr.type == kVirtioBlkTFlush) {
-        // Barrier: all writes acknowledged before this chain are stable once
-        // the status byte lands. The simulated disk image is a host vector,
-        // so the only observable effect is the modeled drain cost + counter.
-        clock_->Charge(kFlushBarrierCycles);
-        ++flushes_;
-      }
-    }
-    // Status byte lives in the last (device-writable) segment.
-    const auto& status_seg = chain->segments.back();
-    guest_mem_->Write<std::uint8_t>(status_seg.gpa, status);
-    vq_.DevicePush(chain->head, written + 1);
     did_work = true;
+    const std::vector<ukplat::Virtqueue::Segment>& segs = chain->segments;
+    // The status byte is the first byte of the last segment. A chain with no
+    // device-writable byte there cannot even report its failure: it
+    // completes with nothing written.
+    if (segs.empty() || !segs.back().device_writable || segs.back().len == 0) {
+      vq_.DevicePush(chain->head, 0);
+      continue;
+    }
+    std::uint32_t written = 0;
+    const std::uint8_t status = ExecuteChain(segs, &written);
+    guest_mem_->Write<std::uint8_t>(segs.back().gpa, status);
+    vq_.DevicePush(chain->head, written + 1);
   }
   if (did_work) {
     clock_->Charge(clock_->model().irq_inject);

@@ -57,6 +57,10 @@ class VirtioBlk final : public BlockDev {
   };
 
   void DeviceRun();  // the VMM side: drain the queue, execute, push used
+  // Checks one chain's shape and executes it; returns its status byte and
+  // sets |written| to the data bytes the device filled.
+  std::uint8_t ExecuteChain(std::span<const ukplat::Virtqueue::Segment> segs,
+                            std::uint32_t* written);
 
   ukplat::MemRegion* guest_mem_;
   ukplat::Clock* clock_;

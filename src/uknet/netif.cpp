@@ -40,6 +40,7 @@ ukarch::Status NetIf::Init() {
       std::max(config_.rx_pool_bufs / nb_queues_, kMinPoolBufsPerQueue);
   tx_pools_.clear();
   rx_pools_.clear();
+  tx_stages_.assign(nb_queues_, TxStage{});
   for (std::uint16_t q = 0; q < nb_queues_; ++q) {
     tx_pools_.push_back(
         uknetdev::NetBufPool::Create(alloc_, mem_, tx_per_q, config_.buf_size));
@@ -120,6 +121,11 @@ uknetdev::NetBuf* NetIf::AllocTxBuf(std::uint32_t l4_header_bytes, std::uint16_t
   if (queue >= tx_pools_.size()) {
     return nullptr;
   }
+  if (tx_pools_[queue]->available() == 0) {
+    // Staged frames hold transient references; bursting them first means
+    // staging never fails an allocation an immediate send would have made.
+    FlushTx(queue);
+  }
   return tx_pools_[queue]->AllocWithHeadroom(reserve);
 }
 
@@ -138,14 +144,7 @@ bool NetIf::SendEthBuf(uknetdev::MacAddr dst, std::uint16_t ethertype,
   }
   EthHeader eth{dst, dev_->mac(), ethertype};
   eth.Serialize(hdr);
-  uknetdev::NetBuf* pkts[1] = {nb};
-  std::uint16_t cnt = 1;
-  dev_->TxBurst(queue, pkts, &cnt);
-  if (cnt != 1) {
-    FreeTxBuf(nb);
-    return false;
-  }
-  return true;
+  return Transmit(queue, &nb, 1) == 1;
 }
 
 std::uint16_t NetIf::SendEthBatch(uknetdev::MacAddr dst, std::uint16_t ethertype,
@@ -162,14 +161,46 @@ std::uint16_t NetIf::SendEthBatch(uknetdev::MacAddr dst, std::uint16_t ethertype
     eth.Serialize(hdr);
     pkts[ready++] = pkts[i];
   }
-  std::uint16_t sent = ready;
-  if (ready > 0) {
-    dev_->TxBurst(queue, pkts, &sent);
-    for (std::uint16_t i = sent; i < ready; ++i) {
+  return Transmit(queue, pkts, ready);
+}
+
+std::uint16_t NetIf::Transmit(std::uint16_t queue, uknetdev::NetBuf** pkts,
+                              std::uint16_t cnt) {
+  if (queue >= tx_stages_.size()) {
+    for (std::uint16_t i = 0; i < cnt; ++i) {
       FreeTxBuf(pkts[i]);
     }
+    return 0;
   }
-  return sent;
+  TxStage& stage = tx_stages_[queue];
+  std::uint16_t lost = 0;
+  for (std::uint16_t i = 0; i < cnt; ++i) {
+    if (stage.n == kTxBurstSize) {
+      lost += FlushTx(queue);
+    }
+    stage.pkts[stage.n++] = pkts[i];
+  }
+  if (stack_->TxHeld(queue)) {
+    return cnt;  // the device's verdict comes with the hold's flush
+  }
+  // Unheld, the stage was empty on entry: every loss counted is this call's.
+  lost += FlushTx(queue);
+  return static_cast<std::uint16_t>(cnt - lost);
+}
+
+std::uint16_t NetIf::FlushTx(std::uint16_t queue) {
+  if (queue >= tx_stages_.size() || tx_stages_[queue].n == 0) {
+    return 0;
+  }
+  TxStage& stage = tx_stages_[queue];
+  std::uint16_t sent = stage.n;
+  dev_->TxBurst(queue, stage.pkts.data(), &sent);
+  for (std::uint16_t i = sent; i < stage.n; ++i) {
+    FreeTxBuf(stage.pkts[i]);
+  }
+  const std::uint16_t lost = static_cast<std::uint16_t>(stage.n - sent);
+  stage.n = 0;
+  return lost;
 }
 
 bool NetIf::SendIpBuf(Ip4Addr dst, std::uint8_t proto, uknetdev::NetBuf* nb,
@@ -185,7 +216,7 @@ std::uint16_t NetIf::SendIpBatch(Ip4Addr dst, std::uint8_t proto,
                                  uknetdev::NetBuf** pkts, std::uint16_t cnt,
                                  std::uint16_t queue) {
   // One destination means one next hop: resolve it once for the whole batch
-  // instead of per packet, then emit everything in a single TxBurst.
+  // instead of per packet, then stage everything together.
   std::uint16_t ready = 0;
   for (std::uint16_t i = 0; i < cnt; ++i) {
     // The IP ID stays at the header default: every header sets DF, so the

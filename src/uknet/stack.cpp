@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "ukarch/hash.h"
 
@@ -155,13 +156,13 @@ std::int64_t UdpSocket::SendToBatch(Ip4Addr dst, std::uint16_t dst_port,
     return ukarch::Raw(ukarch::Status::kNetUnreach);
   }
   const std::uint16_t queue = netif->TxQueueFor(dst, port_, dst_port);
-  constexpr std::size_t kChunk = 64;
+  constexpr std::size_t kChunk = NetIf::kTxBurstSize;
   uknetdev::NetBuf* pkts[kChunk];
   std::int64_t accepted = 0;
   std::size_t i = 0;
   while (i < msgs.size()) {
     // Build up to one chunk of UDP datagrams (payload written once, headers
-    // prepended in place), then burst the chunk in a single TxBurst.
+    // prepended in place), then stage the chunk: one TxBurst when unheld.
     std::uint16_t built = 0;
     while (built < kChunk && i < msgs.size()) {
       const DatagramVec& msg = msgs[i];
@@ -386,12 +387,33 @@ bool NetStack::Ping(Ip4Addr dst, std::uint16_t seq) {
 }
 
 void NetStack::Poll() {
-  for (auto& netif : netifs_) {
-    netif->Poll();
+  {
+    // The pass's ACKs and retransmissions leave together, one doorbell per
+    // TX queue.
+    TxHold hold(this);
+    for (auto& netif : netifs_) {
+      netif->Poll();
+    }
+    RunTcpTimers();
   }
-  RunTcpTimers();
   // Turn boundary: this caller holds no registry snapshot anymore.
   rcu_.Quiescent(kAllQueuesSlot);
+}
+
+void NetStack::EndTxHold(std::uint16_t queue) {
+  if (--tx_holds_[PollSlot(queue)] == 0) {
+    FlushTxStages(queue);
+  }
+}
+
+void NetStack::FlushTxStages(std::uint16_t queue) {
+  for (auto& netif : netifs_) {
+    for (std::uint16_t q = 0; q < netif->queue_count(); ++q) {
+      if ((queue == kAllQueues || q == queue) && !TxHeld(q)) {
+        netif->FlushTx(q);
+      }
+    }
+  }
 }
 
 void NetStack::RunTcpTimers() {
@@ -541,6 +563,7 @@ std::size_t NetStack::PollWait(std::uint16_t queue, std::uint64_t timeout_cycles
   ukarch::Counters<WaitStats>& ws = waits_.At(slot);
   auto drain = [&]() -> std::size_t {
     ws.Add(&WaitStats::poll_iterations);
+    TxHold hold(this, queue);  // as Poll: the pass's frames leave together
     std::size_t n = 0;
     for (auto& netif : netifs_) {
       n += all ? netif->Poll() : netif->Poll(queue);
@@ -574,6 +597,12 @@ std::size_t NetStack::PollWait(std::uint16_t queue, std::uint64_t timeout_cycles
   if (wq == nullptr) {
     return handled;
   }
+  // From here on this call may park, and a sleeper holds no frames: a TxHold
+  // enclosing the call is lent away until it returns. Its staged frames leave
+  // now, before the arm-then-check drain (which sees any that loop back), and
+  // the loops that run while this one sleeps are never held by it.
+  const auto lent_holds = std::exchange(tx_holds_, {});
+  FlushTxStages(kAllQueues);
   // This sleeper holds the affected lines armed for the whole blocking phase;
   // the matching release on return only disarms lines nobody else holds.
   for_each_queue([&](std::uint16_t q) {
@@ -646,6 +675,7 @@ std::size_t NetStack::PollWait(std::uint16_t queue, std::uint64_t timeout_cycles
       }
     }
   });
+  tx_holds_ = lent_holds;
   rcu_.Quiescent(slot);
   return handled;
 }

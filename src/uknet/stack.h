@@ -151,6 +151,9 @@ class NetIf {
   }
 
   // ---- zero-copy TX --------------------------------------------------------
+  // Frames per TxBurst: the capacity of each TX queue's stage.
+  static constexpr std::uint16_t kTxBurstSize = 32;
+
   // The TX convention: a protocol layer allocates a netbuf whose headroom
   // reserves every header below it (device + Ethernet + IP + its own),
   // appends the application payload, prepends its own header in place, and
@@ -173,21 +176,28 @@ class NetIf {
   bool SendIpBuf(Ip4Addr dst, std::uint8_t proto, uknetdev::NetBuf* nb,
                  std::uint16_t queue = 0);
   // Zero-copy Ethernet send: prepends the Ethernet header in place and
-  // bursts the buffer to the device on |queue|. Takes ownership of |nb|.
+  // hands the buffer to |queue|'s TX stage. Takes ownership of |nb|.
   bool SendEthBuf(uknetdev::MacAddr dst, std::uint16_t ethertype,
                   uknetdev::NetBuf* nb, std::uint16_t queue = 0);
   // Batch TX: prepends Ethernet headers for all |cnt| buffers to the same
-  // next hop and enqueues them in a single TxBurst on |queue|. Returns
-  // packets queued; unsent buffers are freed. Takes ownership of the array.
+  // next hop and stages them on |queue|. Returns packets accepted: sent, or
+  // staged while a TxHold covers the queue; unsent buffers are freed. Takes
+  // ownership of the array.
+  //
+  // Every send lands in the queue's stage (at most kTxBurstSize). Outside a
+  // TxHold the stage leaves at once, so a send is a batch of one and is on
+  // the wire before the call returns; inside one it leaves in a single
+  // TxBurst (one doorbell) when the last hold covering the queue ends, or
+  // earlier when the stage fills.
   std::uint16_t SendEthBatch(uknetdev::MacAddr dst, std::uint16_t ethertype,
                              uknetdev::NetBuf** pkts, std::uint16_t cnt,
                              std::uint16_t queue = 0);
   // Batch IPv4 send to ONE destination: prepends each buffer's IP header in
-  // place, resolves the next hop once, and hands the whole batch to a single
-  // TxBurst (the UDP reply-flood path: N replies, one device doorbell).
-  // Takes ownership of all |cnt| buffers. Returns packets accepted (sent or,
-  // on an unresolved next hop, parked behind the ARP request); the rest are
-  // freed.
+  // place, resolves the next hop once, and stages the whole batch together
+  // (the UDP reply-flood path: N replies, one device doorbell).
+  // Takes ownership of all |cnt| buffers. Returns packets accepted (as
+  // SendEthBatch, or, on an unresolved next hop, parked behind the ARP
+  // request); the rest are freed.
   std::uint16_t SendIpBatch(Ip4Addr dst, std::uint8_t proto,
                             uknetdev::NetBuf** pkts, std::uint16_t cnt,
                             std::uint16_t queue = 0);
@@ -230,6 +240,14 @@ class NetIf {
   bool HandleIp(std::uint16_t queue, uknetdev::NetBuf* nb,
                 std::span<const std::uint8_t> body);
   void SendArpRequest(Ip4Addr target, std::uint16_t queue);
+  // Appends |cnt| framed buffers to |queue|'s TX stage, flushing whenever it
+  // fills and once more at the end unless a TxHold covers the queue. Returns
+  // packets accepted (all of them while held).
+  std::uint16_t Transmit(std::uint16_t queue, uknetdev::NetBuf** pkts,
+                         std::uint16_t cnt);
+  // Bursts |queue|'s stage in one TxBurst and frees what the device refused.
+  // Returns the number freed.
+  std::uint16_t FlushTx(std::uint16_t queue);
   // RX interrupt handler (installed as the device's RxQueueConf::intr_handler
   // at Init): counts the fire and wakes the stack's waiters for |queue|.
   void OnRxInterrupt(std::uint16_t queue);
@@ -256,6 +274,13 @@ class NetIf {
     std::uint16_t queue = 0;
   };
   std::map<Ip4Addr, std::vector<PendingTx>> arp_pending_;
+  // Per-TX-queue stage: framed buffers waiting for one shared TxBurst. Owned
+  // by the queue's loop like its pools; never holds frames outside a TxHold.
+  struct TxStage {
+    std::array<uknetdev::NetBuf*, kTxBurstSize> pkts{};
+    std::uint16_t n = 0;
+  };
+  std::vector<TxStage> tx_stages_;
   // Live counters, shared by every queue's loop.
   ukarch::Counters<IfStats> if_stats_;
   // Interrupt fires, one slot per queue: the handler may run on a foreign
@@ -301,7 +326,8 @@ class UdpSocket : public SocketEventSource {
                       std::span<const std::uint8_t> payload);
 
   // Batched send to one destination: builds one netbuf per payload and hands
-  // the lot to NetIf::SendIpBatch — one TxBurst for the whole reply flood.
+  // the lot to NetIf::SendIpBatch in chunks of one burst (kTxBurstSize) —
+  // one TxBurst per chunk, one per turn under a TxHold.
   // Returns datagrams accepted (stops early when the TX pool runs dry).
   struct DatagramVec {
     const std::uint8_t* data = nullptr;
@@ -817,6 +843,7 @@ class NetStack {
   friend class UdpSocket;
   friend class TcpSocket;
   friend class TcpListener;
+  friend class TxHold;
 
   struct ConnKey {
     std::uint16_t local_port;
@@ -854,6 +881,16 @@ class NetStack {
   // Sends every owed delayed ACK of the connections |queue|'s loop owns (all
   // of them for kAllQueues): PollWait runs it right before it parks.
   void FlushDelayedAcks(std::uint16_t queue);
+  // TX holds (TxHold): |queue| is held while its own slot or the kAllQueues
+  // slot counts a live hold. Ending the last hold on a slot flushes the
+  // stages it no longer holds.
+  bool TxHeld(std::uint16_t queue) const {
+    return tx_holds_[kAllQueuesSlot] > 0 || tx_holds_[QueueSlot(queue)] > 0;
+  }
+  void EndTxHold(std::uint16_t queue);
+  // Bursts the TX stage of |queue| (every queue for kAllQueues) on each
+  // interface, skipping queues a hold still covers.
+  void FlushTxStages(std::uint16_t queue);
   // Wakes PollWait sleepers for |queue| (and any-queue waiters). Called from
   // NetIf's RX interrupt handler — wakeup-grade work only.
   void WakeRxWaiters(std::uint16_t queue);
@@ -900,6 +937,10 @@ class NetStack {
     return queue == kAllQueues ? kAllQueuesSlot : QueueSlot(queue);
   }
   ukarch::CounterSlots<WaitStats, kMaxQueueSlots + 1> waits_;
+  // Live TxHolds per loop slot (same slots as waits_). Plain counts: only the
+  // loop running between block points takes or ends holds, and a PollWait
+  // that may park lends them away until it returns.
+  std::array<std::uint32_t, kMaxQueueSlots + 1> tx_holds_{};
   // Delivered readiness edges (registered sinks). Release on publish,
   // acquire on the PollWait re-check: the edge's cause happens-before the
   // woken waiter's rescan.
@@ -910,6 +951,37 @@ class NetStack {
   // resize.
   std::array<std::atomic<std::uint64_t>, kMaxQueueSlots> queue_event_seq_{};
   std::atomic<std::uint64_t> queue_event_total_{0};
+};
+
+// ---- TX holds: one doorbell per loop turn -------------------------------------
+//
+// While a TxHold is live, NetIf sends on the held queues wait in their TX
+// queue's stage and leave in one TxBurst per queue when the last hold
+// covering the queue ends (or earlier, when a stage fills a burst). |queue|
+// names the holder's loop like PollWait's argument: a pinned loop holds its
+// own queue, kAllQueues holds them all. Holds nest. No hold spans a
+// scheduler block point: a PollWait that may park flushes every stage first
+// and lends any enclosing hold away until it returns. Outside every hold a
+// send leaves at once, exactly as without staging.
+class TxHold {
+ public:
+  explicit TxHold(NetStack* stack, std::uint16_t queue = NetStack::kAllQueues)
+      : stack_(stack), queue_(queue) {
+    if (stack_ != nullptr) {
+      ++stack_->tx_holds_[NetStack::PollSlot(queue_)];
+    }
+  }
+  ~TxHold() {
+    if (stack_ != nullptr) {
+      stack_->EndTxHold(queue_);
+    }
+  }
+  TxHold(const TxHold&) = delete;
+  TxHold& operator=(const TxHold&) = delete;
+
+ private:
+  NetStack* stack_;
+  std::uint16_t queue_;
 };
 
 }  // namespace uknet

@@ -73,9 +73,9 @@ std::int64_t TcpSocket::Send(std::span<const std::uint8_t> data) {
     // yet (a sent segment's end is a wire-frame boundary; growing it would
     // strand snd_una_ mid-segment on the ACK and push later retransmissions
     // off the retained-buffer path — legacy has no such contract and keeps
-    // the seed behavior). Also skip a buffer parked behind ARP resolution —
-    // those bytes are spoken for until the pending send releases its
-    // reference.
+    // the seed behavior). Also skip a buffer parked behind ARP resolution or
+    // staged under a TxHold — those bytes are spoken for until the pending
+    // send releases its reference.
     if (!retx_queue_.empty() && retx_queue_.back().len < kMss &&
         (!stack_->tcp_modern || !SeqLt(retx_queue_.back().seq, snd_nxt_)) &&
         retx_queue_.back().nb->refcnt == 1) {
@@ -286,8 +286,9 @@ void TcpSocket::EmitRetained(TcpTxSegment& seg, std::uint32_t from, std::uint32_
   }
   if (nb->refcnt > 1) {
     // A previous transmission of this buffer is still parked behind ARP
-    // resolution; its bytes (headers included) are spoken for. Skip — the
-    // flush or the retransmission timer covers these sequence numbers.
+    // resolution or staged under a TxHold; its bytes (headers included) are
+    // spoken for. Skip — the flush or the retransmission timer covers these
+    // sequence numbers.
     return;
   }
   // Segment-aligned send: restore the payload view (transmissions prepend
@@ -857,7 +858,10 @@ void TcpSocket::OnSegment(std::uint16_t rx_queue, const TcpHeader& hdr,
   }
 
   // --- FIN ---
-  if ((hdr.flags & kTcpFin) != 0 && hdr.seq == rcv_nxt_) {
+  // The FIN's sequence slot follows the segment's payload: a request and its
+  // FIN often share one segment.
+  const std::uint32_t fin_seq = hdr.seq + static_cast<std::uint32_t>(payload.size());
+  if ((hdr.flags & kTcpFin) != 0 && fin_seq == rcv_nxt_) {
     rcv_nxt_ += 1;
     fin_received_ = true;
     // Orderly-shutdown edge. Data already queued stays readable: consumers
@@ -880,7 +884,7 @@ void TcpSocket::OnSegment(std::uint16_t rx_queue, const TcpHeader& hdr,
       return;
     }
     AckNow();  // a FIN is never delay-ACKed
-  } else if ((hdr.flags & kTcpFin) != 0 && SeqLt(hdr.seq, rcv_nxt_)) {
+  } else if ((hdr.flags & kTcpFin) != 0 && SeqLt(fin_seq, rcv_nxt_)) {
     // Retransmitted FIN: our final ACK was lost. Re-ACK, and restart the
     // TIME_WAIT linger so the re-ACK itself gets the same grace period.
     if (state_ == TcpState::kTimeWait) {

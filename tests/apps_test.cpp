@@ -2,6 +2,7 @@
 // testbed, ukhttp, the SQL engine + B+tree, and the UDP kvstore paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -421,6 +422,237 @@ TEST(StreamServerTest, ReplyCarriesTheAck) {
   EXPECT_EQ(server_sock->tcp_stats().data_segments_sent -
                 server_before.data_segments_sent,
             static_cast<std::uint64_t>(kRounds));
+}
+
+// StreamServer stops reading after a short read: TCP recv runs no stack pass,
+// so a second recv could only say EAGAIN, or EOF, which stays readable. A
+// raw peer sends a request alone (one turn is epoll_wait + recv + send), then
+// a request and its FIN in one segment: the request is answered in that turn
+// and the still-readable EOF closes the connection on the next.
+TEST(StreamServerTest, ShortReadStopsAndTheEofClosesNextTurn) {
+  using netharness::MakeIp;
+  ukplat::Clock clock;
+  ukplat::Wire wire(&clock);
+  netharness::Host host(&clock, &wire, 0, MakeIp(10, 0, 0, 1));
+  netharness::RawPeer peer;
+  peer.wire = &wire;
+  peer.host_mac = host.nic->mac();
+  peer.ip = MakeIp(10, 0, 0, 2);
+  peer.host_ip = MakeIp(10, 0, 0, 1);
+  host.netif->AddArpEntry(peer.ip, peer.mac);
+  vfscore::Vfs vfs;
+  posix::PosixApi api(&clock, &vfs, host.stack.get(), posix::DispatchMode::kDirectCall);
+  EventLoop loop(&api);
+  int closes = 0;
+  StreamServer::Handler h;
+  h.on_data = [](StreamServer::Conn& c, std::string_view data) { c.out.append(data); };
+  h.on_close = [&](StreamServer::Conn&) { ++closes; };
+  StreamServer server(&api, &loop, h);
+  ASSERT_TRUE(server.Listen(9000));
+
+  constexpr std::uint16_t kPeerPort = 5555;
+  peer.SendTcp(kPeerPort, 9000, uknet::kTcpSyn, 1000, 0, 65535);
+  loop.PumpOnce();
+  peer.Poll();
+  ASSERT_FALSE(peer.segs.empty());
+  ASSERT_EQ(peer.segs.back().hdr.flags, uknet::kTcpSyn | uknet::kTcpAck);
+  std::uint32_t host_seq = peer.segs.back().hdr.seq + 1;
+  peer.SendTcp(kPeerPort, 9000, uknet::kTcpAck, 1001, host_seq, 65535);
+  loop.PumpOnce();
+  ASSERT_EQ(server.connections(), 1u);
+
+  const std::string request = "ping";
+  const auto bytes = std::span(reinterpret_cast<const std::uint8_t*>(request.data()),
+                               request.size());
+  std::uint32_t peer_seq = 1001;
+  peer.SendTcp(kPeerPort, 9000, uknet::kTcpAck | uknet::kTcpPsh, peer_seq, host_seq,
+               65535, bytes);
+  peer_seq += static_cast<std::uint32_t>(request.size());
+  std::uint64_t calls = api.shim().calls();
+  loop.PumpOnce();
+  EXPECT_EQ(api.shim().calls() - calls, 3u);  // epoll_wait, recv, send
+  peer.Poll();
+  ASSERT_EQ(std::string(peer.segs.back().payload.begin(), peer.segs.back().payload.end()),
+            request);
+  host_seq += static_cast<std::uint32_t>(request.size());
+
+  const std::size_t seen = peer.segs.size();
+  peer.SendTcp(kPeerPort, 9000, uknet::kTcpAck | uknet::kTcpPsh | uknet::kTcpFin,
+               peer_seq, host_seq, 65535, bytes);
+  loop.PumpOnce();  // answers the request; the EOF waits for the next scan
+  EXPECT_EQ(server.connections(), 1u);
+  EXPECT_EQ(closes, 0);
+  loop.PumpOnce();
+  EXPECT_EQ(server.connections(), 0u);
+  EXPECT_EQ(closes, 1);
+  peer.Poll();
+  auto reply = std::find_if(peer.segs.begin() + static_cast<std::ptrdiff_t>(seen),
+                            peer.segs.end(),
+                            [](const auto& seg) { return !seg.payload.empty(); });
+  ASSERT_NE(reply, peer.segs.end());
+  EXPECT_EQ(std::string(reply->payload.begin(), reply->payload.end()), request);
+  EXPECT_EQ(reply->hdr.ack, peer_seq + request.size() + 1);  // covers the FIN
+  EXPECT_NE(peer.segs.back().hdr.flags & uknet::kTcpFin, 0);
+  EXPECT_EQ(peer.rsts, 0u);
+}
+
+// ---- one doorbell per turn ----------------------------------------------------------
+
+// An echo StreamServer on the TestBed (vhost-net server NIC, so every TxBurst
+// that queues a frame is one counted kick) with |conns| client connections,
+// each warmed by one round: ARP resolved, handshake ACKs paid.
+struct EchoBed {
+  explicit EchoBed(int conns) : loop(&bed.api()) {
+    StreamServer::Handler h;
+    h.on_open = [this](StreamServer::Conn& c) { server_fds.push_back(c.fd); };
+    h.on_data = [](StreamServer::Conn& c, std::string_view data) { c.out.append(data); };
+    server = std::make_unique<StreamServer>(&bed.api(), &loop, h);
+    EXPECT_TRUE(server->Listen(9000));
+    for (int i = 0; i < conns; ++i) {
+      clients.push_back(bed.client().stack->TcpConnect(env::TestBed::kServerIp, 9000));
+    }
+    for (int i = 0; i < 300 && server_fds.size() < clients.size(); ++i) {
+      bed.Poll();
+      loop.PumpOnce();
+    }
+    EXPECT_EQ(server_fds.size(), clients.size());
+    SendAll("warm");
+    EXPECT_EQ(ReapAll(), 4u * clients.size());
+  }
+
+  void SendAll(std::string_view request) {
+    for (auto& c : clients) {
+      EXPECT_EQ(c->Send(std::span(reinterpret_cast<const std::uint8_t*>(request.data()),
+                                  request.size())),
+                static_cast<std::int64_t>(request.size()));
+    }
+  }
+
+  // Pumps until every client has its echo back; returns the bytes received.
+  std::size_t ReapAll() {
+    std::size_t got = 0;
+    std::vector<std::size_t> per(clients.size(), 0);
+    for (int i = 0; i < 100; ++i) {
+      bed.Poll();
+      loop.PumpOnce();
+      for (std::size_t c = 0; c < clients.size(); ++c) {
+        std::uint8_t buf[64];
+        const std::int64_t n = clients[c]->Recv(buf);
+        if (n > 0) {
+          per[c] += static_cast<std::size_t>(n);
+          got += static_cast<std::size_t>(n);
+        }
+      }
+      if (std::all_of(per.begin(), per.end(), [](std::size_t n) { return n > 0; })) {
+        break;
+      }
+    }
+    return got;
+  }
+
+  // Kicks a turn that answers every connection once must cost: one burst per
+  // TX queue carrying replies, plus one per further full stage.
+  std::uint64_t ExpectedKicks() {
+    std::map<std::uint16_t, std::uint64_t> replies_per_queue;
+    for (int fd : server_fds) {
+      ++replies_per_queue[bed.api().fdtab().Get<uknet::TcpSocket>(fd)->tx_queue()];
+    }
+    std::uint64_t kicks = 0;
+    for (const auto& [queue, replies] : replies_per_queue) {
+      kicks += (replies + uknet::NetIf::kTxBurstSize - 1) / uknet::NetIf::kTxBurstSize;
+    }
+    return kicks;
+  }
+
+  env::TestBed bed{env::Profile::UnikraftKvm()};
+  EventLoop loop;
+  std::unique_ptr<StreamServer> server;
+  std::vector<std::shared_ptr<uknet::TcpSocket>> clients;
+  std::vector<int> server_fds;
+};
+
+// A turn that answers several connections rings the doorbell once: the
+// replies wait in the TX stage until the turn ends, then leave in one burst
+// (one per TX queue when UKRAFT_QUEUES spreads the flows).
+TEST(StreamServerTest, ConnectionsAnsweredInOneTurnShareOneKick) {
+  EchoBed e(4);
+  e.SendAll("ping");
+  const std::uint64_t kicks_before = e.bed.server().nic->kicks();
+  const std::uint64_t frames_before = e.bed.wire().frames_sent();
+  EXPECT_EQ(e.loop.PumpOnce(), 4u);  // epoll's stack pass takes all 4 requests
+  EXPECT_EQ(e.bed.server().nic->kicks() - kicks_before, e.ExpectedKicks());
+  if (e.bed.server().netif->queue_count() == 1) {
+    EXPECT_EQ(e.ExpectedKicks(), 1u);
+  }
+  EXPECT_EQ(e.bed.wire().frames_sent() - frames_before, 4u);  // the replies only
+  EXPECT_EQ(e.ReapAll(), 16u);
+}
+
+// A full stage does not wait for the turn to end: 40 replies in one turn
+// leave as a burst of 32 and one of 8.
+TEST(StreamServerTest, FullStageFlushesMidTurn) {
+  EchoBed e(40);
+  e.SendAll("ping");
+  // Two stack passes take in all 40 requests (one RX burst is 32 frames);
+  // the data is unread, so neither pass sends anything.
+  const std::uint64_t frames_before = e.bed.wire().frames_sent();
+  e.bed.server().stack->Poll();
+  e.bed.server().stack->Poll();
+  EXPECT_EQ(e.bed.wire().frames_sent(), frames_before);
+  const std::uint64_t kicks_before = e.bed.server().nic->kicks();
+  EXPECT_EQ(e.loop.PumpOnce(), 40u);
+  EXPECT_EQ(e.bed.server().nic->kicks() - kicks_before, e.ExpectedKicks());
+  if (e.bed.server().netif->queue_count() == 1) {
+    EXPECT_EQ(e.ExpectedKicks(), 2u);
+  }
+  EXPECT_EQ(e.bed.wire().frames_sent() - frames_before, 40u);
+  EXPECT_EQ(e.ReapAll(), 160u);
+}
+
+// Outside every hold a send is a batch of one: it is on the wire, with its
+// own kick, before the call returns. Inside a hold (nested ones included)
+// sends wait for the outermost hold to end and then share one kick.
+TEST(TxHoldTest, SendOutsideAnyHoldLeavesBeforeReturning) {
+  env::TestBed bed(env::Profile::UnikraftKvm());
+  uknet::NetStack* stack = bed.server().stack.get();
+  auto udp = stack->UdpOpen();
+  ASSERT_TRUE(ukarch::Ok(udp->Bind(4000)));
+  const std::uint8_t payload[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  auto send = [&] {
+    ASSERT_EQ(udp->SendTo(env::TestBed::kClientIp, 4001, payload),
+              static_cast<std::int64_t>(sizeof(payload)));
+  };
+  auto& wire = bed.wire();
+  auto& nic = *bed.server().nic;
+
+  std::uint64_t frames = wire.frames_sent();
+  std::uint64_t kicks = nic.kicks();
+  send();
+  EXPECT_EQ(wire.frames_sent(), frames + 1);
+  EXPECT_EQ(nic.kicks(), kicks + 1);
+  send();
+  EXPECT_EQ(wire.frames_sent(), frames + 2);
+  EXPECT_EQ(nic.kicks(), kicks + 2);
+
+  frames = wire.frames_sent();
+  kicks = nic.kicks();
+  {
+    uknet::TxHold outer(stack);
+    send();
+    {
+      uknet::TxHold inner(stack);
+      send();
+    }
+    send();
+    EXPECT_EQ(wire.frames_sent(), frames);
+    EXPECT_EQ(nic.kicks(), kicks);
+  }
+  EXPECT_EQ(wire.frames_sent(), frames + 3);
+  EXPECT_EQ(nic.kicks(), kicks + 1);
+
+  send();  // the hold is gone: immediate again
+  EXPECT_EQ(wire.frames_sent(), frames + 4);
+  EXPECT_EQ(nic.kicks(), kicks + 2);
 }
 
 // ---- B+tree -----------------------------------------------------------------------------

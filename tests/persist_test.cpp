@@ -687,6 +687,55 @@ TEST_F(PersistRedisTest, GetSetHotPathStaysZeroAllocWithAofOn) {
   EXPECT_GE(persist.stats().aof_appends, 16u * 5);  // warmup + measured phase
 }
 
+// Replies leave after the turn's fsync (Redis's beforeSleep order): the event
+// loop holds the turn's frames until its turn-end hooks have run, so the
+// +OK of a SET reaches the client only once the barrier that makes it
+// durable has been issued. The client port's wire signal records the disk's
+// barrier count at the moment each server frame lands.
+TEST_F(PersistRedisTest, ReplyLeavesOnlyAfterTheTurnsFsync) {
+  Persist::Config pcfg;
+  pcfg.dir = "/persist";
+  pcfg.fsync = Persist::FsyncPolicy::kEveryTurn;
+  Persist persist(&vfs_, pcfg);
+  apps::RedisServer server(&api_, b_.alloc.get(), 6379);
+  ASSERT_TRUE(server.Start());
+  server.AttachPersist(&persist);
+  server.RecoverFromPersist();
+  auto sock = a_.stack->TcpConnect(netharness::MakeIp(10, 0, 0, 2), 6379);
+  Pump(server);
+  ASSERT_TRUE(sock->connected());
+  for (int i = 0; i < 4; ++i) {  // warm-up: ARP, handshake ACK, AOF segment
+    ASSERT_EQ(Exchange(sock, server, apps::RespCommand({"SET", "k", "warm"})),
+              "+OK\r\n");
+  }
+
+  const std::string set = apps::RespCommand({"SET", "k", "durable"});
+  ASSERT_EQ(sock->Send(std::span(reinterpret_cast<const std::uint8_t*>(set.data()),
+                                 set.size())),
+            static_cast<std::int64_t>(set.size()));
+  const std::uint64_t barriers_before = disk_.flushes();
+  std::vector<std::uint64_t> barriers_at_frame;
+  wire_.SetSignalFn(0, [&] { barriers_at_frame.push_back(disk_.flushes()); });
+  for (int i = 0; i < 8 && barriers_at_frame.empty(); ++i) {
+    server.PumpOnce();
+  }
+  wire_.SetSignalFn(0, nullptr);
+  ASSERT_FALSE(barriers_at_frame.empty());
+  for (std::uint64_t barriers : barriers_at_frame) {
+    EXPECT_GT(barriers, barriers_before);
+  }
+  std::string reply;
+  for (int i = 0; i < 8 && reply.empty(); ++i) {
+    a_.stack->Poll();
+    std::uint8_t buf[64];
+    const std::int64_t n = sock->Recv(buf);
+    if (n > 0) {
+      reply.assign(reinterpret_cast<char*>(buf), static_cast<std::size_t>(n));
+    }
+  }
+  EXPECT_EQ(reply, "+OK\r\n");
+}
+
 // ---- kvstore end-to-end -----------------------------------------------------------
 
 // The sharded specialized server: two RSS queues, one persist shard per

@@ -81,8 +81,7 @@ TEST_F(BlockTest, RamDiskRequestStaysPendingUntilReaped) {
   EXPECT_EQ(disk.ProcessCompletions(SIZE_MAX), 1u);
   EXPECT_TRUE(rd.done());
   EXPECT_EQ(rd.result, 0);
-  rd.result = Request::kPending;
-  EXPECT_EQ(SubmitAndWait(disk, &rd), 0);
+  EXPECT_EQ(SubmitAndWait(disk, &rd), 0);  // reuses the completed request
   EXPECT_EQ(disk.ProcessCompletions(SIZE_MAX), 0u);  // nothing left behind
 }
 
@@ -134,6 +133,87 @@ TEST_F(BlockTest, VirtioBlkChargesExitCosts) {
   SubmitAndWait(disk, &rd);
   EXPECT_GE(clock_.cycles() - before,
             clock_.model().vm_exit + clock_.model().irq_inject);
+}
+
+// The device half checks a chain's shape before touching its segments. A
+// guest can publish any chain on the ring: a one-segment read chain used to
+// index past the segment list, and a two-segment one had the disk data
+// copied over the buffer the device then treated as the status byte.
+TEST_F(BlockTest, VirtioBlkRejectsMisshapenChains) {
+  constexpr std::uint16_t kQsize = 8;
+  const std::uint64_t ring = mem_.Carve(VirtioBlk::FootprintBytes(kQsize), 16);
+  VirtioBlk disk(&mem_, &clock_, ring, kQsize, /*sectors=*/8);
+  std::fill(disk.backing().begin(), disk.backing().end(), 0x42);
+  // A guest-side view of the same rings, to publish chains no driver builds.
+  ukplat::Virtqueue guest(&mem_, ring, kQsize);
+  struct Hdr {
+    std::uint32_t type;
+    std::uint32_t reserved;
+    std::uint64_t sector;
+  };
+  constexpr std::uint32_t kRead = 0;
+  constexpr std::uint32_t kFlush = 4;
+  const std::uint64_t hdr_gpa = mem_.Carve(sizeof(Hdr), 16);
+  const std::uint64_t data_gpa = buf_gpa_;
+  const std::uint64_t status_gpa = mem_.Carve(16, 16);
+  constexpr std::uint64_t kNowhere = ~0ull;  // no usable status byte
+  struct Case {
+    const char* what;
+    std::uint32_t type;
+    std::vector<ukplat::Virtqueue::Segment> segs;
+    std::uint64_t status_at;  // where the status byte must land
+    std::uint32_t used_len;
+    std::uint64_t sector = 0;
+  };
+  const Case cases[] = {
+      {"read, header only (writable)", kRead, {{hdr_gpa, sizeof(Hdr), true}}, hdr_gpa, 1},
+      {"read, header only (read-only)", kRead, {{hdr_gpa, sizeof(Hdr), false}}, kNowhere, 0},
+      {"read, header + data", kRead,
+       {{hdr_gpa, sizeof(Hdr), false}, {data_gpa, 512, true}}, data_gpa, 1},
+      {"read, header + read-only status", kRead,
+       {{hdr_gpa, sizeof(Hdr), false}, {status_gpa, 1, false}}, kNowhere, 0},
+      {"read, read-only data", kRead,
+       {{hdr_gpa, sizeof(Hdr), false}, {data_gpa, 512, false}, {status_gpa, 1, true}},
+       status_gpa, 1},
+      {"read, empty status", kRead,
+       {{hdr_gpa, sizeof(Hdr), false}, {data_gpa, 512, true}, {status_gpa, 0, true}},
+       kNowhere, 0},
+      {"flush with a data segment", kFlush,
+       {{hdr_gpa, sizeof(Hdr), false}, {data_gpa, 512, true}, {status_gpa, 1, true}},
+       status_gpa, 1},
+      {"unknown request type", 7,
+       {{hdr_gpa, sizeof(Hdr), false}, {data_gpa, 512, true}, {status_gpa, 1, true}},
+       status_gpa, 1},
+      {"read, sector that wraps to offset 0", kRead,
+       {{hdr_gpa, sizeof(Hdr), false}, {data_gpa, 512, true}, {status_gpa, 1, true}},
+       status_gpa, 1, /*sector=*/1ull << 55},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    mem_.Write(hdr_gpa, Hdr{c.type, 0, c.sector});
+    std::vector<std::uint8_t> junk(512, 0xee);
+    mem_.CopyIn(data_gpa, std::as_bytes(std::span(junk)));
+    mem_.Write<std::uint8_t>(status_gpa, 0xee);
+    ASSERT_TRUE(guest.Enqueue(c.segs, nullptr));
+    disk.ProcessCompletions(0);  // runs the device half; reaps nothing
+    auto used = guest.DequeueCompletion();
+    ASSERT_TRUE(used.has_value());
+    EXPECT_EQ(used->written, c.used_len);
+    if (c.status_at != kNowhere) {
+      EXPECT_EQ(mem_.Read<std::uint8_t>(c.status_at), 1u);  // VIRTIO_BLK_S_IOERR
+    }
+    EXPECT_EQ(mem_.Read<std::uint8_t>(status_gpa),
+              c.status_at == status_gpa ? 1u : 0xeeu);
+    // No disk byte reached the guest, and nothing was written to the disk.
+    std::uint8_t data[512];
+    mem_.CopyOut(data_gpa, std::as_writable_bytes(std::span(data)));
+    EXPECT_EQ(std::count(data + 1, data + 512, 0xee), 511);
+    EXPECT_EQ(data[0], c.status_at == data_gpa ? 1u : 0xeeu);
+    EXPECT_EQ(std::count(disk.backing().begin(), disk.backing().end(), 0x42),
+              static_cast<std::ptrdiff_t>(disk.backing().size()));
+  }
+  EXPECT_EQ(disk.flushes(), 0u);
+  EXPECT_EQ(guest.bad_chains(), 0u);
 }
 
 // ---- vfscore + ramfs ------------------------------------------------------------

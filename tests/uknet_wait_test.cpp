@@ -110,6 +110,40 @@ TEST(PollWait, TimeoutWakesAndAdvancesVirtualClock) {
   EXPECT_EQ(w.sched->stats().idle_advances, 1u);
 }
 
+// No TxHold spans a park. A PollWait called inside a hold flushes the staged
+// frame before its arm-then-check drain (here it loops back, so the wait
+// ends without sleeping), and while it does sleep it lends the hold away: a
+// sibling's send leaves at once and its loopback interrupt wakes the sleeper.
+TEST(PollWait, ParkingFlushesAndLendsAnEnclosingTxHold) {
+  LoopWorld w;
+  auto server = w.stack->UdpOpen();
+  ASSERT_TRUE(Ok(server->Bind(7)));
+  auto client = w.stack->UdpOpen();
+  const std::uint8_t msg[4] = {1, 2, 3, 4};
+  constexpr std::uint64_t kTimeout = 10'000'000'000ull;
+  std::size_t staged_then_waited = 99;
+  std::size_t woken_by_sibling = 99;
+  w.sched->CreateThread("holder", [&] {
+    TxHold hold(w.stack.get());
+    ASSERT_EQ(client->SendTo(MakeIp(10, 0, 0, 1), 7, msg), 4);
+    EXPECT_EQ(w.dev->stats().tx_packets, 0u);  // staged under the hold
+    staged_then_waited = w.stack->PollWait(0, kTimeout);
+    EXPECT_EQ(w.stack->wait_stats().blocked_waits, 0u);
+    woken_by_sibling = w.stack->PollWait(0, kTimeout);
+  });
+  w.sched->CreateThread("sibling", [&] {
+    EXPECT_EQ(w.stack->wait_stats().blocked_waits, 1u);  // the holder sleeps
+    ASSERT_EQ(client->SendTo(MakeIp(10, 0, 0, 1), 7, msg), 4);
+    EXPECT_EQ(w.dev->stats().tx_packets, 2u);  // not held by the sleeper
+  });
+  EXPECT_EQ(w.sched->Run(), 0u);
+  EXPECT_EQ(staged_then_waited, 1u);
+  EXPECT_EQ(woken_by_sibling, 1u);
+  EXPECT_EQ(w.stack->wait_stats().frame_wakeups, 1u);
+  EXPECT_EQ(w.stack->wait_stats().timer_wakeups, 0u);
+  EXPECT_EQ(server->queued(), 2u);
+}
+
 TEST(PollWait, FrameWakesOnlyItsQueueWaiter) {
   LoopWorld w(2);
   ASSERT_EQ(w.netif->queue_count(), 2u);
